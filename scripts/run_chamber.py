@@ -22,7 +22,6 @@ from pulsecal import (
     reoptimization_round,
     save_landscape,
 )
-from pulsecal.calibrate import _model_for
 from pulsecal.pulses import evolve
 
 MIDPOINT = (0.5, 0.125, 0.125)
@@ -30,7 +29,7 @@ MIDPOINT = (0.5, 0.125, 0.125)
 
 def midpoint_infidelity(landscape):
     alpha = interpolate(landscape, MIDPOINT)
-    u = evolve(_model_for(landscape.family), landscape.ansatz, alpha)
+    u = evolve(landscape.family.model, landscape.ansatz, alpha)
     return gate_infidelity(u, landscape.family.unitary(MIDPOINT), landscape.family.dim)
 
 

@@ -20,7 +20,14 @@ from .calibrate import (
     worker_count,
 )
 from .errors import DomainError, FormatError, OptimizationError, PulsecalError
-from .evaluate import EvalRecord, EvalSummary, evaluate_grid, interpolate, sweep
+from .evaluate import (
+    EvalRecord,
+    EvalSummary,
+    evaluate_grid,
+    interpolate,
+    interpolate_many,
+    sweep,
+)
 from .families import (
     CARTAN_BOX,
     FAMILIES,
@@ -92,6 +99,7 @@ __all__ = [
     "get_family",
     "initial_round",
     "interpolate",
+    "interpolate_many",
     "is_unitary",
     "load_landscape",
     "locate",

@@ -38,7 +38,7 @@ from .families import GateFamily, get_family
 from .linalg import gate_infidelity
 from .mesh import SimplicialMesh, build_mesh, neighbors
 from .optimize import OptConfig, minimize, pulse_objective, seeded_init
-from .pulses import ControlAnsatz, CostSpec, HamiltonianModel, evolve, tikhonov_weight
+from .pulses import ControlAnsatz, CostSpec, evolve, tikhonov_weight
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,6 @@ def _ansatz_for(family: GateFamily, cfg: CalibConfig) -> ControlAnsatz:
     )
 
 
-def _model_for(family: GateFamily) -> HamiltonianModel:
-    return HamiltonianModel(controls=family.controls, dim=family.dim)
-
-
 def _solve_reference(family, ansatz, model, cfg, point, index):
     """Initial optimization of one reference point (anchor 0)."""
     target = family.unitary(point)
@@ -183,7 +179,7 @@ def initial_round(cfg: CalibConfig) -> Landscape:
     family = get_family(cfg.family)
     points = family.grid(cfg.granularity)
     ansatz = _ansatz_for(family, cfg)
-    model = _model_for(family)
+    model = family.model
 
     indices = range(len(points))
     with ThreadPoolExecutor(max_workers=worker_count(cfg.n_workers)) as pool:
@@ -212,7 +208,7 @@ def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
     """One neighbor-coordination pass over all references (in place)."""
     family = landscape.family
     ansatz = landscape.ansatz
-    model = _model_for(family)
+    model = family.model
     n = len(landscape.references)
 
     snapshot = [neighbor_penalty(landscape, i) for i in range(n)]

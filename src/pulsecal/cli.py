@@ -7,8 +7,9 @@ several granularities).
 
 Exit codes: 0 success, 2 bad arguments, 3 domain error (point or
 configuration outside the gate family's domain), 4 I/O or file-format
-error. Thread count for the parallel phases comes from --workers or the
-PULSECAL_THREADS environment variable.
+error. The thread count for calibration's initial round comes from
+--workers or the PULSECAL_THREADS environment variable; evaluation and
+interpolation run on the calling thread.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .calibrate import CalibConfig, _model_for, calibrate
+from .calibrate import CalibConfig, calibrate
 from .errors import DomainError, FormatError
 from .evaluate import evaluate_grid, interpolate, sweep
 from .families import FAMILIES
@@ -64,7 +65,7 @@ def _add_calib_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=50,
                    help="optimizer iteration cap per problem (default 50)")
     p.add_argument("--workers", type=int, default=None,
-                   help="threads for parallel phases (default: PULSECAL_THREADS or cpu)")
+                   help="threads for the initial round (default: PULSECAL_THREADS or cpu)")
 
 
 def _calib_config(args, granularity: Fraction, rounds: int) -> CalibConfig:
@@ -111,7 +112,7 @@ def _summary_dict(summary) -> dict:
 
 def cmd_evaluate(args) -> int:
     landscape = load_landscape(args.landscape)
-    records, summary = evaluate_grid(landscape, _fraction(args.granularity), args.workers)
+    records, summary = evaluate_grid(landscape, _fraction(args.granularity))
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             writer = csv.writer(f)
@@ -134,7 +135,7 @@ def cmd_interpolate(args) -> int:
     # reported with the violated constraint, not as a mesh-hull miss.
     target = landscape.family.unitary(p)
     alpha = interpolate(landscape, p)
-    u = evolve(_model_for(landscape.family), landscape.ansatz, alpha)
+    u = evolve(landscape.family.model, landscape.ansatz, alpha)
     payload = json.dumps(
         {
             "family": landscape.family.name,
@@ -196,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--granularity", required=True, help="test grid spacing, e.g. 1/24")
     p.add_argument("--csv", default=None, help="per-point CSV output path")
     p.add_argument("--summary", default=None, help="summary JSON output path")
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("interpolate", help="query the pulse for one parameter point")

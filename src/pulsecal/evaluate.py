@@ -5,32 +5,30 @@ locating the point in the reference mesh and forming the barycentric
 combination of the vertex pulses. Interpolated pulses inherit the
 amplitude bounds automatically (convex combination of feasible pulses).
 
-evaluate_grid measures how well that works: it sweeps a dense test grid,
-evolves every interpolated pulse and compares against the family target.
+evaluate_grid measures how well that works: it sweeps a dense test grid
+in blocks of points, evolves each block's interpolated pulses as one
+batch and compares them against the family targets.
 sweep() repeats calibration round by round over several reference
 granularities, producing computation-cost-versus-accuracy tables.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
-from .calibrate import (
-    CalibConfig,
-    Landscape,
-    _model_for,
-    initial_round,
-    reoptimization_round,
-    worker_count,
-)
-from .linalg import gate_infidelity
+from .calibrate import CalibConfig, Landscape, initial_round, reoptimization_round
+from .errors import DomainError
+from .linalg import overlap_infidelity
 from .mesh import locate
 from .pulses import evolve
+
+# Test points scored per batch in evaluate_grid. Propagating a
+# two-qubit pulse takes about 25 kB of temporaries, so larger blocks
+# raise peak memory while the per-call overhead is already amortized.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -52,36 +50,65 @@ class EvalSummary:
 def interpolate(landscape: Landscape, p) -> np.ndarray:
     """Barycentric combination of the containing simplex's pulses."""
     loc = locate(landscape.mesh, p)
-    return _combine(landscape, loc.simplex, loc.coords)
+    refs = landscape.references
+    vertices = landscape.mesh.simplices[loc.simplex].tolist()
+    return _combine(loc.coords, np.array([refs[v].alpha for v in vertices]))
 
 
-def _combine(landscape: Landscape, simplex: int, coords: np.ndarray) -> np.ndarray:
-    alpha = np.zeros(landscape.ansatz.n_params)
-    for b, v in zip(coords, landscape.mesh.simplices[simplex]):
-        if b != 0.0:
-            alpha = alpha + b * landscape.references[v].alpha
-    return alpha
+def interpolate_many(landscape: Landscape, points) -> np.ndarray:
+    """Pulses for a batch of points, (B, n_params), each as interpolate gives it."""
+    return _interpolate_block(landscape, _pulse_matrix(landscape), points)[0]
 
 
-def evaluate_grid(
-    landscape: Landscape,
-    test_granularity: Fraction,
-    n_workers: Optional[int] = None,
-) -> tuple[list, EvalSummary]:
+def _pulse_matrix(landscape: Landscape) -> np.ndarray:
+    return np.array([ref.alpha for ref in landscape.references])
+
+
+def _interpolate_block(landscape: Landscape, pulses: np.ndarray, points):
+    """Pulses and containing simplices of the points; pulses stacks the references'."""
+    mesh = landscape.mesh
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != mesh.dim:
+        raise DomainError(f"points have shape {points.shape}, expected (B, {mesh.dim})")
+    coords = np.empty((len(points), mesh.dim + 1))
+    simplices = np.empty(len(points), dtype=int)
+    for i, p in enumerate(points):
+        loc = locate(mesh, p)
+        coords[i], simplices[i] = loc.coords, loc.simplex
+    return _combine(coords, pulses[mesh.simplices[simplices]]), simplices
+
+
+def _combine(coords: np.ndarray, vertex_pulses: np.ndarray) -> np.ndarray:
+    """Sum of coords[..., v] * vertex_pulses[..., v, :] over the vertices v.
+
+    The terms are added one vertex after another, in vertex order, onto
+    a +0.0 start. Such a sum never holds -0.0, so the signed-zero term of
+    a zero coordinate changes no sum of finite pulses: the result equals
+    skipping that vertex.
+    """
+    return np.add.reduce(coords[..., None] * vertex_pulses, axis=-2, initial=0.0)
+
+
+def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[list, EvalSummary]:
     """Interpolate and score every domain lattice point at the given spacing."""
     family = landscape.family
-    model = _model_for(family)
+    model = family.model
     points = family.grid(test_granularity)
-
-    def score(p):
-        loc = locate(landscape.mesh, p)
-        alpha = _combine(landscape, loc.simplex, loc.coords)
-        u = evolve(model, landscape.ansatz, alpha)
-        infid = gate_infidelity(u, family.unitary(p), model.dim)
-        return EvalRecord(point=p, infidelity=infid, simplex=loc.simplex)
-
-    with ThreadPoolExecutor(max_workers=worker_count(n_workers)) as pool:
-        records = list(pool.map(score, points))
+    pulses = _pulse_matrix(landscape)
+    records = []
+    for start in range(0, len(points), _BLOCK):
+        block = points[start : start + _BLOCK]
+        alphas, simplices = _interpolate_block(landscape, pulses, block)
+        u = evolve(model, landscape.ansatz, alphas)
+        targets = family.target(block)
+        if targets.shape != u.shape:
+            raise ValueError(f"family {family.name!r} gave targets of shape {targets.shape} "
+                             f"for {len(block)} points; its target must accept a batch")
+        overlaps = np.trace(targets.conj().swapaxes(-1, -2) @ u, axis1=-2, axis2=-1)
+        records += [
+            EvalRecord(point=p, infidelity=overlap_infidelity(tr, model.dim), simplex=int(si))
+            for p, tr, si in zip(block, overlaps, simplices)
+        ]
 
     infids = np.array([r.infidelity for r in records])
     summary = EvalSummary(
@@ -111,10 +138,10 @@ def sweep(
     for g in granularities:
         run_cfg = replace(cfg, family=family, granularity=Fraction(g), rounds=0)
         landscape = initial_round(run_cfg)
-        _, summary = evaluate_grid(landscape, test_granularity, run_cfg.n_workers)
+        _, summary = evaluate_grid(landscape, test_granularity)
         rows.append((Fraction(g), 0, summary))
         for rnd in range(1, max_rounds + 1):
             reoptimization_round(landscape, run_cfg)
-            _, summary = evaluate_grid(landscape, test_granularity, run_cfg.n_workers)
+            _, summary = evaluate_grid(landscape, test_granularity)
             rows.append((Fraction(g), rnd, summary))
     return rows

@@ -10,20 +10,22 @@ target unitary. Three families are provided:
 * ``cartan-box``: the same map on the full cube [0,1]^3.
 * ``single-qubit``: exp(-i*(pi/2)*(tx sx + ty sy + tz sz)) on [0,1]^3.
 
-Grids are generated with exact rational arithmetic so that point counts
-and membership tests do not depend on floating-point rounding.
+Grids are selected with exact integer arithmetic on the lattice
+numerators, so that point counts and membership tests do not depend on
+floating-point rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
 from .linalg import I2, SX, SY, SZ, expm_hermitian
+from .pulses import HamiltonianModel
 
 XX = np.kron(SX, SX)
 YY = np.kron(SY, SY)
@@ -38,15 +40,27 @@ CONTROLS_2Q = np.stack(
 CONTROLS_1Q = np.stack([SY, SZ])
 
 
+def _components(t):
+    """tx, ty, tz of one point (3,) or a batch (B, 3), shaped to scale matrices."""
+    t = np.asarray(t, dtype=float)
+    return (t[..., k, None, None] for k in range(3))
+
+
 def cartan_unitary(t) -> np.ndarray:
-    """Two-qubit target exp(-i*(pi/2)*(tx XX + ty YY + tz ZZ))."""
-    tx, ty, tz = (float(c) for c in t)
+    """Two-qubit target exp(-i*(pi/2)*(tx XX + ty YY + tz ZZ)).
+
+    A batch of points (B, 3) gives the stack (B, 4, 4) of their targets.
+    """
+    tx, ty, tz = _components(t)
     return expm_hermitian((np.pi / 2) * (tx * XX + ty * YY + tz * ZZ))
 
 
 def single_qubit_unitary(t) -> np.ndarray:
-    """Single-qubit target exp(-i*(pi/2)*(tx sx + ty sy + tz sz))."""
-    tx, ty, tz = (float(c) for c in t)
+    """Single-qubit target exp(-i*(pi/2)*(tx sx + ty sy + tz sz)).
+
+    A batch of points (B, 3) gives the stack (B, 2, 2) of their targets.
+    """
+    tx, ty, tz = _components(t)
     return expm_hermitian((np.pi / 2) * (tx * SX + ty * SY + tz * SZ))
 
 
@@ -70,9 +84,27 @@ def _in_chamber(t) -> bool:
     )
 
 
+# Exact membership of lattice points (a, b, c) / n, from the integer
+# numerators 0 <= a, b, c <= n; k is (N, 3).
+def _box_lattice(k, n):
+    return np.ones(len(k), dtype=bool)
+
+
+def _chamber_lattice(k, n):
+    a, b, c = k.T
+    return (b <= np.minimum(a, n - a)) & (c <= b)
+
+
 @dataclass(frozen=True)
 class GateFamily:
-    """Descriptor bundling a family's name, dimension, domain and target map."""
+    """Descriptor bundling a family's name, dimension, domain and target map.
+
+    ``target`` maps one point (3,) to its unitary and, for evaluate_grid,
+    a batch (B, 3) to the stack (B, dim, dim). ``lattice``, when given,
+    is the domain's exact membership test on lattice numerators (see
+    ``grid``); without it, grid tests each lattice point with
+    ``contains`` on exact fractions.
+    """
 
     name: str
     dim: int
@@ -81,6 +113,12 @@ class GateFamily:
     controls: np.ndarray = field(repr=False)
     contains: Callable[[tuple], bool] = field(repr=False)
     target: Callable[[tuple], np.ndarray] = field(repr=False)
+    lattice: Optional[Callable[[np.ndarray, int], np.ndarray]] = field(default=None, repr=False)
+
+    @property
+    def model(self) -> HamiltonianModel:
+        """The family's control Hamiltonians, as the pulse model."""
+        return HamiltonianModel(controls=self.controls, dim=self.dim)
 
     def unitary(self, t) -> np.ndarray:
         if not self.contains(t):
@@ -101,14 +139,14 @@ class GateFamily:
         if g <= 0 or (1 / g).denominator != 1:
             raise ValueError(f"granularity must evenly divide 1, got {g}")
         n = int(1 / g)
-        pts = []
-        for a in range(n + 1):
-            for b in range(n + 1):
-                for c in range(n + 1):
-                    t = (Fraction(a, n), Fraction(b, n), Fraction(c, n))
-                    if self.contains(t):
-                        pts.append([float(x) for x in t])
-        return np.array(pts, dtype=float)
+        k = np.indices((n + 1,) * 3).reshape(3, -1).T
+        if self.lattice is not None:
+            inside = self.lattice(k, n)
+        else:
+            inside = [self.contains(tuple(Fraction(c, n) for c in row)) for row in k.tolist()]
+        # Float division of the exact integers rounds a / n once, as
+        # float(Fraction(a, n)) does.
+        return k[np.asarray(inside, dtype=bool)] / n
 
 
 WEYL_CHAMBER = GateFamily(
@@ -119,6 +157,7 @@ WEYL_CHAMBER = GateFamily(
     controls=CONTROLS_2Q,
     contains=_in_chamber,
     target=cartan_unitary,
+    lattice=_chamber_lattice,
 )
 
 CARTAN_BOX = GateFamily(
@@ -129,6 +168,7 @@ CARTAN_BOX = GateFamily(
     controls=CONTROLS_2Q,
     contains=_in_box,
     target=cartan_unitary,
+    lattice=_box_lattice,
 )
 
 SINGLE_QUBIT = GateFamily(
@@ -139,6 +179,7 @@ SINGLE_QUBIT = GateFamily(
     controls=CONTROLS_1Q,
     contains=_in_box,
     target=single_qubit_unitary,
+    lattice=_box_lattice,
 )
 
 FAMILIES = {f.name: f for f in (WEYL_CHAMBER, CARTAN_BOX, SINGLE_QUBIT)}

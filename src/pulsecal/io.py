@@ -102,6 +102,13 @@ def landscape_from_dict(data: dict) -> Landscape:
         for ref in references:
             if ref.alpha.shape != (ansatz.n_params,):
                 raise FormatError("reference pulse length does not match ansatz")
+        # The bound and its slack are evolve's; NaN fails the comparison.
+        amplitudes = np.array([ref.alpha for ref in references])
+        if not np.all(np.abs(amplitudes) <= ansatz.alpha_max * (1 + 1e-12)):
+            raise FormatError(
+                f"reference pulse amplitudes must be finite and within "
+                f"+-{ansatz.alpha_max}"
+            )
         points = np.array([r.point for r in references])
         mesh = from_simplices(points, data["simplices"])
         log = [
@@ -115,16 +122,18 @@ def landscape_from_dict(data: dict) -> Landscape:
             )
             for rec in data["log"]
         ]
+        lam = float(data["lambda"])
+        seed = int(data["seed"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc
     return Landscape(
         family=family,
         ansatz=ansatz,
-        lam=float(data["lambda"]),
+        lam=lam,
         references=references,
         mesh=mesh,
         log=log,
-        seed=int(data["seed"]),
+        seed=seed,
     )
 
 

@@ -41,6 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import overlap_infidelity
+
 
 @dataclass(frozen=True)
 class ControlAnsatz:
@@ -109,19 +111,20 @@ class CostSpec:
 def _infidelity_term(overlap: complex, dim: int, pin_branch: bool) -> float:
     """Infidelity term E of the cost from the overlap Tr(V^dag U_T).
 
-    The phase-insensitive form is written to be bit-identical to
-    gate_infidelity(U_T, V, dim).
+    The phase-insensitive form is gate_infidelity(U_T, V, dim).
     """
     if pin_branch:
         return float(2.0 * (1.0 - overlap.real / dim))
-    return float(np.clip(1.0 - (overlap.real**2 + overlap.imag**2) / dim**2, 0.0, 1.0))
+    return overlap_infidelity(overlap, dim)
 
 
 def _check_alpha(ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
+    """One pulse (n_params,) or a batch (B, n_params), within the amplitude bound."""
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (ansatz.n_params,):
+    if alpha.ndim not in (1, 2) or alpha.shape[-1] != ansatz.n_params:
         raise ValueError(
-            f"alpha has shape {alpha.shape}, expected ({ansatz.n_params},)"
+            f"alpha has shape {alpha.shape}, expected ({ansatz.n_params},) "
+            f"or (B, {ansatz.n_params})"
         )
     if np.max(np.abs(alpha)) > ansatz.alpha_max * (1 + 1e-12):
         raise ValueError("alpha amplitude out of bounds")
@@ -131,26 +134,32 @@ def _check_alpha(ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
 def _segment_unitaries(model, ansatz, alpha2d):
     """Eigendecompose every segment Hamiltonian at once.
 
-    Returns (w, q, useg): eigenvalues (n_p, dim), eigenvectors
-    (n_p, dim, dim) and the segment propagators exp(-i H_s dt).
+    alpha2d is (..., n_f, n_p). Returns (w, q, useg): eigenvalues
+    (..., n_p, dim), eigenvectors (..., n_p, dim, dim) and the segment
+    propagators exp(-i H_s dt). Each pulse of a batch gets the bits it
+    gets alone: the stacked eigh and matmul work matrix by matrix.
     """
-    h = np.einsum("ks,kij->sij", alpha2d, model.controls)
+    h = np.einsum("...ks,kij->...sij", alpha2d, model.controls)
     if model.drift is not None:
         h = h + model.drift
     w, q = np.linalg.eigh(h)
     phase = np.exp(-1j * ansatz.dt * w)
-    useg = (q * phase[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    useg = (q * phase[..., None, :]) @ q.conj().swapaxes(-1, -2)
     return w, q, useg
 
 
 def evolve(model: HamiltonianModel, ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
-    """Total propagator of the pulse, segment 1 acting first."""
+    """Total propagator of the pulse, segment 1 acting first.
+
+    A batch of pulses (B, n_params) gives the stack (B, dim, dim) of
+    their propagators, each bit for bit as evolving that pulse alone.
+    """
     alpha = _check_alpha(ansatz, alpha)
-    alpha2d = alpha.reshape(ansatz.n_controls, ansatz.n_segments)
+    alpha2d = alpha.reshape(*alpha.shape[:-1], ansatz.n_controls, ansatz.n_segments)
     _, _, useg = _segment_unitaries(model, ansatz, alpha2d)
     u = np.eye(model.dim, dtype=complex)
     for s in range(ansatz.n_segments):
-        u = useg[s] @ u
+        u = useg[..., s, :, :] @ u
     return u
 
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,37 @@ def test_evaluate_corrupt_landscape_file(tmp_path, capsys):
 
 # -- interpolate --------------------------------------------------------------
 
+def _edited_copy(landscape_file, tmp_path, edit):
+    data = json.loads(landscape_file.read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("key", ["lambda", "seed"])
+def test_interpolate_landscape_missing_header_key(landscape_file, tmp_path, capsys, key):
+    path = _edited_copy(landscape_file, tmp_path, lambda d: d.pop(key))
+    code = main(["interpolate", "--landscape", str(path), "--point", "0,0,0"])
+    assert code == 4
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "amplitude", ["nan", "inf", float(1.5).hex(), float(-1.0 - 1e-9).hex()]
+)
+def test_interpolate_landscape_with_bad_amplitude(landscape_file, tmp_path, capsys, amplitude):
+    def edit(data):
+        data["references"][0]["alpha_hex"][5] = amplitude
+
+    path = _edited_copy(landscape_file, tmp_path, edit)
+    for point in ("0,0,0", "0.1,0.1,0.1"):
+        code = main(["interpolate", "--landscape", str(path), "--point", point])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "finite" in captured.err and captured.out == ""
+
+
 def test_interpolate_at_reference_matches_stored_pulse(landscape_file, capsys):
     code = main([
         "interpolate", "--landscape", str(landscape_file), "--point", "0,0,1",
@@ -131,6 +166,21 @@ def test_interpolate_at_reference_matches_stored_pulse(landscape_file, capsys):
     alpha = np.array([float.fromhex(h) for h in payload["alpha_hex"]])
     assert np.array_equal(alpha, stored.alpha)
     assert payload["infidelity"] == pytest.approx(stored.infidelity, abs=1e-15)
+
+
+def test_interpolate_in_a_fresh_interpreter_does_not_import_scipy(landscape_file):
+    """A command-line query loads and serves without triangulating, so
+    its start-up is not charged SciPy's import."""
+    script = (
+        "import sys\n"
+        "from pulsecal.cli import main\n"
+        f"code = main(['interpolate', '--landscape', {str(landscape_file)!r}, '--point', '1/2,1/4,0'])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pc.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_interpolate_fractional_point_syntax(landscape_file, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,20 @@ def test_interpolation_at_edge_midpoint_is_pulse_average(small_landscape):
     got = pc.interpolate(land, mid)
     want = (land.references[a].alpha + land.references[b].alpha) / 2
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_interpolation_adds_vertex_terms_in_vertex_order(small_landscape):
+    # Reference: the per-vertex loop the combination replaced.
+    land = small_landscape
+    rng = np.random.default_rng(6)
+    points = np.concatenate([land.points, rng.random((300, 3))])
+    for p in points:
+        loc = locate(land.mesh, p)
+        want = np.zeros(land.ansatz.n_params)
+        for b, v in zip(loc.coords, land.mesh.simplices[loc.simplex]):
+            if b != 0.0:
+                want = want + b * land.references[v].alpha
+        assert pc.interpolate(land, p).tobytes() == want.tobytes()
 
 
 def test_interpolated_pulses_respect_amplitude_bounds(small_landscape):
@@ -80,21 +95,46 @@ def test_evaluation_summary_statistics(small_landscape):
 
 
 def test_evaluation_scores_against_family_target(small_landscape):
+    # Blocked, batched scoring gives each point the bits that scoring it
+    # alone gives.
     land = small_landscape
-    records, _ = pc.evaluate_grid(land, Fraction(1, 2))
+    records, _ = pc.evaluate_grid(land, Fraction(1, 4))
     model = pc.HamiltonianModel(controls=land.family.controls, dim=land.family.dim)
-    rec = records[13]
-    u = evolve(model, land.ansatz, pc.interpolate(land, rec.point))
-    expected = gate_infidelity(u, land.family.unitary(rec.point), land.family.dim)
-    assert rec.infidelity == expected
+    assert len(records) == 125
+    for rec in records:
+        u = evolve(model, land.ansatz, pc.interpolate(land, rec.point))
+        expected = gate_infidelity(u, land.family.unitary(rec.point), land.family.dim)
+        assert rec.infidelity == expected
+        assert rec.simplex == locate(land.mesh, rec.point).simplex
 
 
-def test_evaluation_worker_count_does_not_change_results(small_landscape):
-    a, sa = pc.evaluate_grid(small_landscape, Fraction(1, 2), n_workers=1)
-    b, sb = pc.evaluate_grid(small_landscape, Fraction(1, 2), n_workers=4)
-    assert sa == sb
-    for ra, rb in zip(a, b):
-        assert ra.infidelity == rb.infidelity
+def test_evaluation_rejects_a_target_map_without_batches(small_landscape):
+    family = dataclasses.replace(
+        small_landscape.family, target=lambda t: np.eye(2, dtype=complex)
+    )
+    land = dataclasses.replace(small_landscape, family=family)
+    with pytest.raises(ValueError, match="must accept a batch"):
+        pc.evaluate_grid(land, Fraction(1, 2))
+
+
+def test_interpolate_many_equals_interpolate_row_by_row(small_landscape):
+    land = small_landscape
+    rng = np.random.default_rng(4)
+    lattice = pc.SINGLE_QUBIT.grid(Fraction(1, 6))
+    points = np.concatenate([land.points, rng.random((150, 3)), lattice])
+    many = pc.interpolate_many(land, points)
+    assert many.shape == (len(points), land.ansatz.n_params)
+    for p, row in zip(points, many):
+        assert row.tobytes() == pc.interpolate(land, p).tobytes()
+
+
+def test_interpolate_many_rejects_bad_shapes_and_outside_points(small_landscape):
+    with pytest.raises(DomainError, match="shape"):
+        pc.interpolate_many(small_landscape, np.array([0.5, 0.5, 0.5]))
+    with pytest.raises(DomainError, match="outside"):
+        pc.interpolate_many(small_landscape, np.array([[0.5, 0.5, 0.5], [1.5, 0.0, 0.0]]))
+    empty = pc.interpolate_many(small_landscape, np.empty((0, 3)))
+    assert empty.shape == (0, small_landscape.ansatz.n_params)
 
 
 # -- sweep --------------------------------------------------------------------

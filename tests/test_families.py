@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,44 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 )
 def test_grid_counts(family, granularity, count):
     assert len(get_family(family).grid(granularity)) == count
+
+
+@pytest.mark.parametrize("name", sorted(pc.FAMILIES))
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 24])
+def test_grid_equals_exact_fraction_enumeration(name, n):
+    family = get_family(name)
+    want = [
+        [float(c) for c in t]
+        for t in (
+            (Fraction(a, n), Fraction(b, n), Fraction(c, n))
+            for a in range(n + 1)
+            for b in range(n + 1)
+            for c in range(n + 1)
+        )
+        if family.contains(t)
+    ]
+    got = family.grid(Fraction(1, n))
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(pc.FAMILIES))
+def test_grid_without_lattice_test_uses_contains_on_fractions(name):
+    # Families defined by a membership test alone get the same grid.
+    family = get_family(name)
+    plain = dataclasses.replace(family, lattice=None)
+    for n in (1, 2, 4, 6):
+        assert plain.grid(Fraction(1, n)).tobytes() == family.grid(Fraction(1, n)).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(pc.FAMILIES))
+def test_batched_targets_equal_single_targets(name):
+    family = get_family(name)
+    points = family.grid(Fraction(1, 6))
+    stack = family.target(points)
+    assert stack.shape == (len(points), family.dim, family.dim)
+    for p, u in zip(points, stack):
+        assert u.tobytes() == family.unitary(tuple(p)).tobytes()
 
 
 def test_cube_grid_count_closed_form():

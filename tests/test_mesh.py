@@ -1,10 +1,13 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsecal.errors import DomainError
-from pulsecal.families import WEYL_CHAMBER
+from pulsecal.families import FAMILIES, WEYL_CHAMBER
 from pulsecal.mesh import (
     build_mesh,
     from_simplices,
@@ -173,6 +176,99 @@ def test_interpolation_consistent_across_shared_faces():
         w = rng.dirichlet(np.ones(3))
         p = w @ mesh.vertices[shared]
         assert np.allclose(interp_via(a, p), interp_via(b, p), atol=1e-10)
+
+
+# -- cell index against the full scan -----------------------------------------
+
+def full_scan_locate(mesh, p):
+    """Reference locate: barycentric coordinates in every simplex.
+
+    The arithmetic locate used before its cell index. Returns (simplex,
+    coords) of the lowest-index simplex holding p, or None.
+    """
+    b_rest = np.einsum("mij,mj->mi", mesh._t_inv, p[None, :] - mesh._origins)
+    b0 = 1.0 - b_rest.sum(axis=1)
+    b_all = np.concatenate([b0[:, None], b_rest], axis=1)
+    hits = np.flatnonzero(b_all.min(axis=1) >= -1e-9)
+    if hits.size == 0:
+        return None
+    b = b_all[hits[0]].copy()
+    b[np.abs(b) < 1e-12] = 0.0
+    return int(hits[0]), b / b.sum()
+
+
+TRIANGLE_PAIR = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+MESHES = [(name, n) for name in sorted(FAMILIES) for n in (2, 4, 6)] + [("2-d", 0)]
+
+
+@functools.cache
+def indexed_mesh(name, n):
+    if name == "2-d":
+        return build_mesh(TRIANGLE_PAIR)
+    return build_mesh(FAMILIES[name].grid(Fraction(1, n)))
+
+
+def query_points(mesh, kind, rng, count=40):
+    """Points of one kind for a mesh: uniform, lattice, face or outside."""
+    v, rows = mesh.vertices, mesh.simplices
+    lo, hi = v.min(axis=0), v.max(axis=0)
+    if kind == "uniform":
+        return lo + (hi - lo) * rng.uniform(-0.05, 1.05, (count, mesh.dim))
+    if kind == "lattice":
+        steps = rng.choice([2, 3, 4, 6, 8, 12, 24])
+        return lo + (hi - lo) * rng.integers(0, steps + 1, (count, mesh.dim)) / steps
+    # A point on a random face or edge of a random simplex.
+    weights = rng.dirichlet(np.ones(mesh.dim + 1), count)
+    keep = rng.integers(2, mesh.dim + 1, count)
+    for w, k in zip(weights, keep):
+        w[rng.permutation(mesh.dim + 1)[k:]] = 0.0
+        w /= w.sum()
+    on_faces = np.einsum("pv,pvc->pc", weights, v[rows[rng.integers(len(rows), size=count)]])
+    if kind == "face":
+        return on_faces
+    # Just off a face, on either side: outside the hull where the face
+    # is on it, and across the 1e-9 tolerance band.
+    direction = rng.normal(size=(count, mesh.dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    size = 10.0 ** rng.uniform(-13, -5, (count, 1))
+    return on_faces + size * direction * (hi - lo).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mesh_key=st.sampled_from(MESHES),
+    kind=st.sampled_from(["uniform", "lattice", "face", "outside"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_indexed_locate_matches_full_scan_bit_for_bit(mesh_key, kind, seed):
+    mesh = indexed_mesh(*mesh_key)
+    for p in query_points(mesh, kind, np.random.default_rng(seed)):
+        want = full_scan_locate(mesh, p)
+        if want is None:
+            with pytest.raises(DomainError, match="outside"):
+                locate(mesh, p)
+            continue
+        got = locate(mesh, p)
+        assert got.simplex == want[0]
+        assert got.coords.tobytes() == want[1].tobytes()
+
+
+def test_locate_rejects_points_far_outside_and_nan():
+    mesh = indexed_mesh("cartan-box", 4)
+    for p in ([1e300, 0.5, 0.5], [-np.inf, 0.0, 0.0], [np.nan, 0.5, 0.5], [2.0, 2.0, 2.0]):
+        with pytest.raises(DomainError, match="outside"), np.errstate(invalid="ignore"):
+            locate(mesh, np.array(p))
+
+
+def test_cell_index_coarsens_for_simplices_spanning_the_mesh():
+    # 1,000 copies of one tetrahedron would each touch all 10^3 cells;
+    # the index coarsens until it stays linear in the simplex count.
+    mesh = from_simplices(TETRA, [[0, 1, 2, 3]] * 1000)
+    assert mesh._index.simplex.size <= 64 * 1000
+    assert mesh._index.n < 10
+    loc = locate(mesh, np.array([0.1, 0.2, 0.3]))
+    assert loc.simplex == 0
+    assert np.allclose(loc.coords, [0.4, 0.1, 0.2, 0.3], atol=1e-15)
 
 
 # -- explicit construction ----------------------------------------------------

@@ -112,6 +112,21 @@ def test_evolve_rejects_out_of_bounds_amplitude():
 def test_evolve_rejects_wrong_shape():
     with pytest.raises(ValueError, match="shape"):
         evolve(MODEL_1Q, ANSATZ_1Q, np.zeros(39))
+    with pytest.raises(ValueError, match="shape"):
+        evolve(MODEL_1Q, ANSATZ_1Q, np.zeros((2, 2, 40)))
+
+
+@pytest.mark.parametrize("model,ansatz", [(MODEL_1Q, ANSATZ_1Q), (MODEL_2Q, ANSATZ_2Q)])
+def test_batched_evolve_equals_single_pulses_bit_for_bit(model, ansatz):
+    rng = np.random.default_rng(17)
+    batch = rng.uniform(-1.0, 1.0, (9, ansatz.n_params))
+    batch[0] = 0.0
+    stack = evolve(model, ansatz, batch)
+    assert stack.shape == (9, model.dim, model.dim)
+    for alpha, u in zip(batch, stack):
+        assert u.tobytes() == evolve(model, ansatz, alpha).tobytes()
+    with pytest.raises(ValueError, match="out of bounds"):
+        evolve(model, ansatz, np.concatenate([batch, np.full((1, ansatz.n_params), 1.5)]))
 
 
 def test_drift_term_contributes():
