@@ -17,7 +17,6 @@ from .calibrate import (
     neighbor_penalty,
     reoptimization_round,
     visit_order,
-    worker_count,
 )
 from .errors import DomainError, FormatError, OptimizationError, PulsecalError
 from .evaluate import (
@@ -55,7 +54,6 @@ from .pulses import (
     HamiltonianModel,
     cost,
     cost_and_gradient,
-    cost_gradient,
     evolve,
     tikhonov_weight,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "cartan_unitary",
     "cost",
     "cost_and_gradient",
-    "cost_gradient",
     "evaluate_grid",
     "evolve",
     "expm_hermitian",
@@ -115,5 +112,4 @@ __all__ = [
     "sweep",
     "tikhonov_weight",
     "visit_order",
-    "worker_count",
 ]

@@ -12,7 +12,9 @@ fix the visiting order (descending penalty, ties by ascending vertex
 index). Each visit then recomputes the neighbor average from the *latest*
 pulses, and re-optimizes with both the initial guess and the Tikhonov
 anchor set to that average. Rounds are therefore sequential and
-order-dependent by construction; only the initial round is parallel.
+order-dependent by construction. Every round runs serially on the
+calling thread, in a fixed order, so a seed fixes the landscape bit for
+bit.
 
 The initial round minimizes the phase-insensitive gate infidelity, so
 each reference may land on any SU(d) branch c * V(t), c^d = 1. The
@@ -25,11 +27,8 @@ Stored and reported infidelities are the gate infidelity in every round.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -89,23 +88,12 @@ class CalibConfig:
     opt: OptConfig = OptConfig()
     seed: int = 0
     n_segments: int = 20
-    n_workers: Optional[int] = None
 
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
-
-
-def worker_count(explicit: Optional[int] = None) -> int:
-    """Thread count for parallel phases: explicit > $PULSECAL_THREADS > cpu."""
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("PULSECAL_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def _ansatz_for(family: GateFamily, cfg: CalibConfig) -> ControlAnsatz:
@@ -116,28 +104,24 @@ def _ansatz_for(family: GateFamily, cfg: CalibConfig) -> ControlAnsatz:
     )
 
 
-def _solve_reference(family, ansatz, model, cfg, point, index):
-    """Initial optimization of one reference point (anchor 0)."""
-    target = family.unitary(point)
-    spec = CostSpec(target=target, lam=cfg.lam, alpha0=np.zeros(ansatz.n_params))
-    objective = pulse_objective(spec, model, ansatz)
+def _optimize_reference(family, ansatz, cfg, stage, point, spec, x0, prior_iterations=0):
+    """Minimize one reference problem and store its pulse.
 
-    def infid_of(alpha):
-        return gate_infidelity(evolve(model, ansatz, alpha), target, model.dim)
-
-    x0 = seeded_init(ansatz, cfg.seed ^ index)
+    The stored infidelity is the gate infidelity of the returned pulse,
+    whatever cost form ``spec`` selects. A failure names the stage and
+    the reference point.
+    """
+    model = family.model
     try:
-        alpha, report = minimize(objective, None, x0, cfg.opt, infidelity_fn=infid_of)
+        alpha, report = minimize(pulse_objective(spec, model, ansatz), x0, cfg.opt)
     except OptimizationError as exc:
         where = tuple(float(c) for c in point)
-        raise OptimizationError(
-            f"initial optimization failed at reference point {where}: {exc}"
-        ) from exc
+        raise OptimizationError(f"{stage} failed at reference point {where}: {exc}") from exc
     return ReferencePulse(
         point=np.array(point, dtype=float),
         alpha=alpha,
-        infidelity=report.final_infidelity,
-        cumulative_iterations=report.iterations,
+        infidelity=gate_infidelity(evolve(model, ansatz, alpha), spec.target, model.dim),
+        cumulative_iterations=prior_iterations + report.iterations,
     )
 
 
@@ -179,16 +163,15 @@ def initial_round(cfg: CalibConfig) -> Landscape:
     family = get_family(cfg.family)
     points = family.grid(cfg.granularity)
     ansatz = _ansatz_for(family, cfg)
-    model = family.model
-
-    indices = range(len(points))
-    with ThreadPoolExecutor(max_workers=worker_count(cfg.n_workers)) as pool:
-        refs = list(
-            pool.map(
-                lambda i: _solve_reference(family, ansatz, model, cfg, points[i], i),
-                indices,
-            )
+    anchor = np.zeros(ansatz.n_params)
+    refs = [
+        _optimize_reference(
+            family, ansatz, cfg, "initial optimization", point,
+            CostSpec(target=family.unitary(point), lam=cfg.lam, alpha0=anchor),
+            seeded_init(ansatz, cfg.seed ^ index),
         )
+        for index, point in enumerate(points)
+    ]
 
     landscape = Landscape(
         family=family,
@@ -208,7 +191,6 @@ def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
     """One neighbor-coordination pass over all references (in place)."""
     family = landscape.family
     ansatz = landscape.ansatz
-    model = family.model
     n = len(landscape.references)
 
     snapshot = [neighbor_penalty(landscape, i) for i in range(n)]
@@ -217,29 +199,17 @@ def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
     iterations = 0
     for i in order:
         ref = landscape.references[i]
-        target = family.unitary(ref.point)
         ahat = neighbor_average(landscape, i)
-        spec = CostSpec(target=target, lam=landscape.lam, alpha0=ahat, pin_branch=True)
-        objective = pulse_objective(spec, model, ansatz)
-
-        def infid_of(alpha, target=target):
-            return gate_infidelity(evolve(model, ansatz, alpha), target, model.dim)
-
-        init = np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max)
-        try:
-            alpha, report = minimize(objective, None, init, cfg.opt, infidelity_fn=infid_of)
-        except OptimizationError as exc:
-            where = tuple(float(c) for c in ref.point)
-            raise OptimizationError(
-                f"re-optimization failed at reference point {where}: {exc}"
-            ) from exc
-        iterations += report.iterations
-        landscape.references[i] = ReferencePulse(
-            point=ref.point,
-            alpha=alpha,
-            infidelity=report.final_infidelity,
-            cumulative_iterations=ref.cumulative_iterations + report.iterations,
+        spec = CostSpec(
+            target=family.unitary(ref.point), lam=landscape.lam, alpha0=ahat, pin_branch=True
         )
+        new = _optimize_reference(
+            family, ansatz, cfg, "re-optimization", ref.point, spec,
+            np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max),
+            prior_iterations=ref.cumulative_iterations,
+        )
+        iterations += new.cumulative_iterations - ref.cumulative_iterations
+        landscape.references[i] = new
 
     landscape.log.append(
         _round_record(landscape, landscape.log[-1].round_index + 1, iterations)

@@ -7,9 +7,7 @@ several granularities).
 
 Exit codes: 0 success, 2 bad arguments, 3 domain error (point or
 configuration outside the gate family's domain), 4 I/O or file-format
-error. The thread count for calibration's initial round comes from
---workers or the PULSECAL_THREADS environment variable; evaluation and
-interpolation run on the calling thread.
+error. Every subcommand runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from .calibrate import CalibConfig, calibrate
 from .errors import DomainError, FormatError
 from .evaluate import evaluate_grid, interpolate, sweep
 from .families import FAMILIES
-from .io import load_landscape, save_landscape
+from .io import ansatz_to_dict, load_landscape, save_landscape
 from .linalg import gate_infidelity
 from .optimize import OptConfig
 from .pulses import evolve
@@ -64,8 +62,6 @@ def _add_calib_flags(p: argparse.ArgumentParser) -> None:
                    help="piecewise-constant segments per pulse (default 20)")
     p.add_argument("--max-iter", type=int, default=50,
                    help="optimizer iteration cap per problem (default 50)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="threads for the initial round (default: PULSECAL_THREADS or cpu)")
 
 
 def _calib_config(args, granularity: Fraction, rounds: int) -> CalibConfig:
@@ -77,7 +73,6 @@ def _calib_config(args, granularity: Fraction, rounds: int) -> CalibConfig:
         opt=OptConfig(max_iter=args.max_iter),
         seed=args.seed,
         n_segments=args.segments,
-        n_workers=args.workers,
     )
 
 
@@ -140,12 +135,7 @@ def cmd_interpolate(args) -> int:
         {
             "family": landscape.family.name,
             "point": list(p),
-            "ansatz": {
-                "n_controls": landscape.ansatz.n_controls,
-                "n_segments": landscape.ansatz.n_segments,
-                "duration": landscape.ansatz.duration,
-                "alpha_max": landscape.ansatz.alpha_max,
-            },
+            "ansatz": ansatz_to_dict(landscape.ansatz),
             "alpha": [float(a) for a in alpha],
             "alpha_hex": [float(a).hex() for a in alpha],
             "infidelity": gate_infidelity(u, target, landscape.family.dim),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -100,10 +100,8 @@ class GateFamily:
     """Descriptor bundling a family's name, dimension, domain and target map.
 
     ``target`` maps one point (3,) to its unitary and, for evaluate_grid,
-    a batch (B, 3) to the stack (B, dim, dim). ``lattice``, when given,
-    is the domain's exact membership test on lattice numerators (see
-    ``grid``); without it, grid tests each lattice point with
-    ``contains`` on exact fractions.
+    a batch (B, 3) to the stack (B, dim, dim). ``lattice`` is the
+    domain's exact membership test on lattice numerators (see ``grid``).
     """
 
     name: str
@@ -113,7 +111,7 @@ class GateFamily:
     controls: np.ndarray = field(repr=False)
     contains: Callable[[tuple], bool] = field(repr=False)
     target: Callable[[tuple], np.ndarray] = field(repr=False)
-    lattice: Optional[Callable[[np.ndarray, int], np.ndarray]] = field(default=None, repr=False)
+    lattice: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
 
     @property
     def model(self) -> HamiltonianModel:
@@ -140,13 +138,9 @@ class GateFamily:
             raise ValueError(f"granularity must evenly divide 1, got {g}")
         n = int(1 / g)
         k = np.indices((n + 1,) * 3).reshape(3, -1).T
-        if self.lattice is not None:
-            inside = self.lattice(k, n)
-        else:
-            inside = [self.contains(tuple(Fraction(c, n) for c in row)) for row in k.tolist()]
         # Float division of the exact integers rounds a / n once, as
         # float(Fraction(a, n)) does.
-        return k[np.asarray(inside, dtype=bool)] / n
+        return k[self.lattice(k, n)] / n
 
 
 WEYL_CHAMBER = GateFamily(

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .calibrate import Landscape, ReferencePulse, RoundRecord
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .families import get_family
 from .mesh import from_simplices
 from .pulses import ControlAnsatz
@@ -25,17 +25,22 @@ FORMAT_NAME = "pulsecal-landscape"
 FORMAT_VERSION = 1
 
 
+def ansatz_to_dict(ansatz: ControlAnsatz) -> dict:
+    """The ``"ansatz"`` entry of landscape files and served pulses."""
+    return {
+        "n_controls": ansatz.n_controls,
+        "n_segments": ansatz.n_segments,
+        "duration": ansatz.duration,
+        "alpha_max": ansatz.alpha_max,
+    }
+
+
 def landscape_to_dict(landscape: Landscape) -> dict:
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "family": landscape.family.name,
-        "ansatz": {
-            "n_controls": landscape.ansatz.n_controls,
-            "n_segments": landscape.ansatz.n_segments,
-            "duration": landscape.ansatz.duration,
-            "alpha_max": landscape.ansatz.alpha_max,
-        },
+        "ansatz": ansatz_to_dict(landscape.ansatz),
         "lambda": landscape.lam,
         "seed": landscape.seed,
         "references": [
@@ -110,6 +115,8 @@ def landscape_from_dict(data: dict) -> Landscape:
                 f"+-{ansatz.alpha_max}"
             )
         points = np.array([r.point for r in references])
+        # A row naming a missing vertex, or a degenerate simplex, raises
+        # DomainError; in a file it is a format fault.
         mesh = from_simplices(points, data["simplices"])
         log = [
             RoundRecord(
@@ -124,7 +131,7 @@ def landscape_from_dict(data: dict) -> Landscape:
         ]
         lam = float(data["lambda"])
         seed = int(data["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc
     return Landscape(
         family=family,

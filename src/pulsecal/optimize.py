@@ -46,7 +46,6 @@ class OptReport:
 
     iterations: int
     final_cost: float
-    final_infidelity: float
     converged_by: str  # "grad_tol" | "stall" | "max_iter"
     n_evaluations: int
 
@@ -64,10 +63,10 @@ def seeded_init(ansatz: ControlAnsatz, rng_seed: int, scale: Optional[float] = N
 def pulse_objective(
     spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz
 ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Combined cost-and-gradient callable for one pulse problem.
+    """The objective of one pulse problem, as minimize() takes it.
 
-    Pass the result as ``cost_fn`` to minimize() with ``grad_fn=None``
-    so each probe costs a single time propagation.
+    Each call returns the cost and its gradient from one time
+    propagation.
     """
 
     def fn(alpha: np.ndarray) -> tuple[float, np.ndarray]:
@@ -77,30 +76,19 @@ def pulse_objective(
 
 
 def minimize(
-    cost_fn: Callable,
-    grad_fn: Optional[Callable],
-    alpha_init: np.ndarray,
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
     cfg: OptConfig,
-    infidelity_fn: Optional[Callable[[np.ndarray], float]] = None,
 ) -> tuple[np.ndarray, OptReport]:
-    """Minimize the cost inside the amplitude box, starting at alpha_init.
+    """Minimize ``fun`` inside the amplitude box, starting at ``x0``.
 
-    ``cost_fn``/``grad_fn`` are separate callables; alternatively pass
-    ``grad_fn=None`` and let cost_fn return a ``(cost, gradient)`` pair,
-    which is the efficient path for the pulse cost. ``infidelity_fn``,
-    if given, is evaluated once at the final point to fill the report's
-    final_infidelity; otherwise the final cost is recorded there.
+    ``fun(x)`` returns the pair ``(cost, gradient)``; pulse_objective()
+    builds it for a pulse problem.
     """
-    if grad_fn is None:
-        cg = cost_fn
-    else:
-        def cg(z):
-            return cost_fn(z), grad_fn(z)
-
     lo, hi = -cfg.alpha_max, cfg.alpha_max
     eps_act = 1e-12 * max(1.0, cfg.alpha_max)
-    x = np.clip(np.asarray(alpha_init, dtype=float), lo, hi)
-    f, g = cg(x)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = fun(x)
     g = np.asarray(g, dtype=float)
     if not (np.isfinite(f) and np.isfinite(g).all()):
         raise OptimizationError("non-finite cost or gradient at initial point")
@@ -162,7 +150,7 @@ def minimize(
             step = xn - x
             if not np.any(step):
                 break
-            fn_val, gn = cg(xn)
+            fn_val, gn = fun(xn)
             gn = np.asarray(gn, dtype=float)
             evals += 1
             gs = g @ step
@@ -199,11 +187,9 @@ def minimize(
     if reason is None:
         reason = "max_iter"
 
-    final_infid = float(infidelity_fn(x)) if infidelity_fn is not None else float(f)
     report = OptReport(
         iterations=iters,
         final_cost=float(f),
-        final_infidelity=final_infid,
         converged_by=reason,
         n_evaluations=evals,
     )

@@ -10,8 +10,9 @@ The simulated propagator is
     U_T = U_{n_p} ... U_2 U_1,   U_s = exp(-i H_s dt),
     H_s = sum_k alpha[k, s] * B_k,
 
-with no drift term. The optimization cost is an infidelity term plus a
-Tikhonov term pulling alpha toward an anchor vector alpha0:
+so the controls alone drive the system. The optimization cost is an
+infidelity term plus a Tikhonov term pulling alpha toward an anchor
+vector alpha0:
 
     J(alpha) = E(alpha) + lam_tilde * ||alpha - alpha0||^2.
 
@@ -70,15 +71,10 @@ class ControlAnsatz:
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """Control Hamiltonians B_k (stacked (n_f, dim, dim)).
-
-    ``drift`` is an always-on Hamiltonian term; the built-in families
-    have none, so it defaults to None (zero).
-    """
+    """Control Hamiltonians B_k (stacked (n_f, dim, dim))."""
 
     controls: np.ndarray
     dim: int
-    drift: np.ndarray = None
 
     @property
     def n_controls(self) -> int:
@@ -126,8 +122,9 @@ def _check_alpha(ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
             f"alpha has shape {alpha.shape}, expected ({ansatz.n_params},) "
             f"or (B, {ansatz.n_params})"
         )
-    if np.max(np.abs(alpha)) > ansatz.alpha_max * (1 + 1e-12):
-        raise ValueError("alpha amplitude out of bounds")
+    # NaN fails the comparison, so it is rejected with the out-of-bound values.
+    if not np.all(np.abs(alpha) <= ansatz.alpha_max * (1 + 1e-12)):
+        raise ValueError("alpha amplitude out of bounds or not finite")
     return alpha
 
 
@@ -140,8 +137,6 @@ def _segment_unitaries(model, ansatz, alpha2d):
     gets alone: the stacked eigh and matmul work matrix by matrix.
     """
     h = np.einsum("...ks,kij->...sij", alpha2d, model.controls)
-    if model.drift is not None:
-        h = h + model.drift
     w, q = np.linalg.eigh(h)
     phase = np.exp(-1j * ansatz.dt * w)
     useg = (q * phase[..., None, :]) @ q.conj().swapaxes(-1, -2)
@@ -223,7 +218,3 @@ def cost(spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz, alpha) 
     lam_tilde = tikhonov_weight(spec.lam, ansatz)
     dev = alpha - np.asarray(spec.alpha0, dtype=float)
     return _infidelity_term(overlap, model.dim, spec.pin_branch) + lam_tilde * float(dev @ dev)
-
-
-def cost_gradient(spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz, alpha) -> np.ndarray:
-    return cost_and_gradient(spec, model, ansatz, alpha)[1]

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,7 @@ def test_round_is_noop_on_converged_uniform_landscape():
         controls=CONTROLS_1Q,
         contains=lambda t: True,
         target=lambda t: np.eye(2, dtype=complex),
+        lattice=lambda k, n: np.ones(len(k), dtype=bool),
     )
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
     ansatz = ControlAnsatz(n_controls=2, n_segments=20)
@@ -228,31 +230,36 @@ def test_calibration_is_deterministic(corner_run):
     assert landscape_to_dict(land) == landscape_to_dict(again)
 
 
-def test_result_independent_of_worker_count(corner_run):
-    cfg, land = corner_run
-    import dataclasses
-    serial = pc.calibrate(dataclasses.replace(cfg, n_workers=1))
-    wide = pc.calibrate(dataclasses.replace(cfg, n_workers=4))
-    assert landscape_to_dict(serial) == landscape_to_dict(land)
-    assert landscape_to_dict(wide) == landscape_to_dict(land)
-
-
 # -- failure paths and config -------------------------------------------------
 
-def test_initial_failure_names_the_reference_point(monkeypatch):
+@pytest.mark.parametrize("stage", ["initial", "coordination"])
+def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
+    # A NaN target makes the first problem of the round fail at its start.
     bad_family = GateFamily(
         name="single-qubit",
         dim=2,
         n_controls=2,
         domain_description="anywhere",
         controls=CONTROLS_1Q,
-        contains=lambda t: sum(t) == 0,
+        contains=lambda t: True,
         target=lambda t: np.full((2, 2), np.nan, dtype=complex),
+        lattice=lambda k, n: np.ones(len(k), dtype=bool),
     )
-    monkeypatch.setattr(calibrate_mod, "get_family", lambda name: bad_family)
-    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1))
-    with pytest.raises(OptimizationError, match=r"reference point \(0.0, 0.0, 0.0\)"):
-        pc.initial_round(cfg)
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
+    if stage == "initial":
+        monkeypatch.setattr(calibrate_mod, "get_family", lambda name: bad_family)
+        message = r"^initial optimization failed at reference point \(0.0, 0.0, 0.0\)"
+        run = lambda: pc.initial_round(cfg)
+    else:
+        land = pc.initial_round(cfg)
+        pens = [pc.neighbor_penalty(land, i) for i in range(len(land.references))]
+        first = land.references[pc.visit_order(pens)[0]].point
+        where = re.escape(str(tuple(float(c) for c in first)))
+        message = rf"^re-optimization failed at reference point {where}"
+        land.family = bad_family
+        run = lambda: pc.reoptimization_round(land, cfg)
+    with pytest.raises(OptimizationError, match=message):
+        run()
 
 
 def test_config_rejects_bad_values():
@@ -260,13 +267,3 @@ def test_config_rejects_bad_values():
         pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), rounds=-1)
     with pytest.raises(ValueError):
         pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), lam=-0.5)
-
-
-def test_worker_count_resolution(monkeypatch):
-    monkeypatch.delenv("PULSECAL_THREADS", raising=False)
-    assert pc.worker_count(3) == 3
-    assert pc.worker_count(0) == 1
-    assert pc.worker_count() >= 1
-    monkeypatch.setenv("PULSECAL_THREADS", "5")
-    assert pc.worker_count() == 5
-    assert pc.worker_count(2) == 2

@@ -152,6 +152,22 @@ def test_interpolate_landscape_with_bad_amplitude(landscape_file, tmp_path, caps
         assert "finite" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "row,reason",
+    [([0, 1, 2, 1_000_000], "out of range"), ([0, 0, 1, 2], "degenerate")],
+    ids=["missing-vertex", "degenerate"],
+)
+def test_interpolate_landscape_with_bad_simplex(landscape_file, tmp_path, capsys, row, reason):
+    def edit(data):
+        data["simplices"][0] = row
+
+    path = _edited_copy(landscape_file, tmp_path, edit)
+    code = main(["interpolate", "--landscape", str(path), "--point", "0,0,0"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert reason in captured.err and captured.out == ""
+
+
 def test_interpolate_at_reference_matches_stored_pulse(landscape_file, capsys):
     code = main([
         "interpolate", "--landscape", str(landscape_file), "--point", "0,0,1",

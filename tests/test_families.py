@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -53,15 +52,6 @@ def test_grid_equals_exact_fraction_enumeration(name, n):
     got = family.grid(Fraction(1, n))
     assert got.dtype == np.float64
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(pc.FAMILIES))
-def test_grid_without_lattice_test_uses_contains_on_fractions(name):
-    # Families defined by a membership test alone get the same grid.
-    family = get_family(name)
-    plain = dataclasses.replace(family, lattice=None)
-    for n in (1, 2, 4, 6):
-        assert plain.grid(Fraction(1, n)).tobytes() == family.grid(Fraction(1, n)).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(pc.FAMILIES))

@@ -29,14 +29,14 @@ def test_quadratic_interior_minimum_found():
     rng = np.random.default_rng(1)
     for _ in range(10):
         c = rng.uniform(-0.8, 0.8, 12)
-        x, report = minimize(quadratic(c), None, np.zeros(12), OptConfig())
+        x, report = minimize(quadratic(c), np.zeros(12), OptConfig())
         assert np.abs(x - c).max() < 1e-8
         assert report.converged_by in ("grad_tol", "stall", "max_iter")
 
 
 def test_quadratic_exterior_minimum_clamps_to_box():
     c = np.array([1.7, -2.4, 0.3, 0.0])
-    x, _ = minimize(quadratic(c), None, np.zeros(4), OptConfig())
+    x, _ = minimize(quadratic(c), np.zeros(4), OptConfig())
     assert np.abs(x - np.clip(c, -1, 1)).max() < 1e-8
 
 
@@ -44,14 +44,14 @@ def test_quadratic_exterior_minimum_clamps_to_box():
 @given(st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=8))
 def test_quadratic_converges_for_arbitrary_centers(center):
     c = np.array(center)
-    x, _ = minimize(quadratic(c), None, np.zeros(len(c)), OptConfig())
+    x, _ = minimize(quadratic(c), np.zeros(len(c)), OptConfig())
     assert np.abs(x - c).max() < 1e-7
 
 
 def test_zero_gradient_start_returns_immediately():
     spec = CostSpec(target=np.eye(2), lam=1e-2, alpha0=np.zeros(40))
     obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
-    x, report = minimize(obj, None, np.zeros(40), OptConfig())
+    x, report = minimize(obj, np.zeros(40), OptConfig())
     assert np.array_equal(x, np.zeros(40))
     assert report.iterations <= 1
     assert report.converged_by == "grad_tol"
@@ -67,7 +67,7 @@ def test_result_never_worse_than_start():
     for seed in range(5):
         x0 = seeded_init(ANSATZ_1Q, seed)
         f0, _ = obj(x0)
-        x, report = minimize(obj, None, x0, OptConfig())
+        x, report = minimize(obj, x0, OptConfig())
         assert report.final_cost <= f0
         assert np.abs(x).max() <= 1.0 + 1e-12
 
@@ -76,7 +76,7 @@ def test_iterations_respect_cap_and_evaluations_exceed_them():
     target = pc.single_qubit_unitary((1.0, 0.0, 0.0))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
     obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
-    x, report = minimize(obj, None, seeded_init(ANSATZ_1Q, 0), OptConfig(max_iter=7))
+    x, report = minimize(obj, seeded_init(ANSATZ_1Q, 0), OptConfig(max_iter=7))
     assert report.iterations <= 7
     # one evaluation at the start plus at least one per accepted step
     assert report.n_evaluations >= report.iterations + 1
@@ -87,18 +87,10 @@ def test_minimize_is_deterministic():
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
     obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
     x0 = seeded_init(ANSATZ_1Q, 12)
-    xa, ra = minimize(obj, None, x0, OptConfig())
-    xb, rb = minimize(obj, None, x0, OptConfig())
+    xa, ra = minimize(obj, x0, OptConfig())
+    xb, rb = minimize(obj, x0, OptConfig())
     assert np.array_equal(xa, xb)
     assert ra == rb
-
-
-def test_split_cost_and_grad_callables_supported():
-    c = np.array([0.25, -0.5, 0.75])
-    cost_fn = lambda x: float((x - c) @ (x - c))
-    grad_fn = lambda x: 2.0 * (x - c)
-    x, _ = minimize(cost_fn, grad_fn, np.zeros(3), OptConfig())
-    assert np.abs(x - c).max() < 1e-8
 
 
 def test_non_finite_start_raises():
@@ -106,7 +98,7 @@ def test_non_finite_start_raises():
         return np.nan, np.zeros_like(x)
 
     with pytest.raises(OptimizationError, match="non-finite"):
-        minimize(bad, None, np.zeros(3), OptConfig())
+        minimize(bad, np.zeros(3), OptConfig())
 
 
 def test_config_validation():
@@ -165,13 +157,10 @@ def test_hard_x_rotation_solved_from_most_seeds():
     spec = CostSpec(target=target, lam=0.0, alpha0=np.zeros(40))
     obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
 
-    def infid(alpha):
-        return pc.gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, alpha), target, 2)
-
     wins = 0
     for seed in range(10):
         x0 = seeded_init(ANSATZ_1Q, seed, scale=1.0)
-        _, report = minimize(obj, None, x0, OptConfig(), infidelity_fn=infid)
+        x, report = minimize(obj, x0, OptConfig())
         assert report.iterations <= 50
-        wins += report.final_infidelity < 1e-6
+        wins += pc.gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, x), target, 2) < 1e-6
     assert wins >= 9
