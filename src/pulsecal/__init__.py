@@ -47,7 +47,14 @@ from .mesh import (
     locate,
     neighbors,
 )
-from .optimize import OptConfig, OptReport, minimize, pulse_objective, seeded_init
+from .optimize import (
+    OptConfig,
+    OptReport,
+    minimize,
+    minimize_lockstep,
+    pulse_objective,
+    seeded_init,
+)
 from .pulses import (
     ControlAnsatz,
     CostSpec,
@@ -101,6 +108,7 @@ __all__ = [
     "load_landscape",
     "locate",
     "minimize",
+    "minimize_lockstep",
     "neighbor_average",
     "neighbor_penalty",
     "neighbors",

@@ -6,15 +6,21 @@ re-optimization rounds that pull each pulse toward the average of its
 mesh neighbors, and keep the per-round log that the evaluation tooling
 reports.
 
+The initial round's problems do not depend on each other, so they run
+as one lockstep batch (``minimize_lockstep``): every tick evaluates all
+unfinished problems in batched kernel calls, and each reference gets the
+pulse, iterations and stored infidelity that minimizing it alone gives,
+bit for bit. The stored infidelities come from one batched ``evolve``.
+
 Re-optimization round semantics (order matters, so they are pinned here):
 the neighbor penalties are snapshotted once at the start of the round and
 fix the visiting order (descending penalty, ties by ascending vertex
 index). Each visit then recomputes the neighbor average from the *latest*
 pulses, and re-optimizes with both the initial guess and the Tikhonov
 anchor set to that average. Rounds are therefore sequential and
-order-dependent by construction. Every round runs serially on the
-calling thread, in a fixed order, so a seed fixes the landscape bit for
-bit.
+order-dependent by construction, and visit one reference at a time.
+Every round runs on the calling thread, in a fixed order, so a seed
+fixes the landscape bit for bit.
 
 The initial round minimizes the phase-insensitive gate infidelity, so
 each reference may land on any SU(d) branch c * V(t), c^d = 1. The
@@ -34,9 +40,9 @@ import numpy as np
 
 from .errors import OptimizationError
 from .families import GateFamily, get_family
-from .linalg import gate_infidelity
+from .linalg import gate_infidelities, gate_infidelity
 from .mesh import SimplicialMesh, build_mesh, neighbors
-from .optimize import OptConfig, minimize, pulse_objective, seeded_init
+from .optimize import OptConfig, minimize, minimize_lockstep, pulse_objective, seeded_init
 from .pulses import ControlAnsatz, CostSpec, evolve, tikhonov_weight
 
 
@@ -104,25 +110,10 @@ def _ansatz_for(family: GateFamily, cfg: CalibConfig) -> ControlAnsatz:
     )
 
 
-def _optimize_reference(family, ansatz, cfg, stage, point, spec, x0, prior_iterations=0):
-    """Minimize one reference problem and store its pulse.
-
-    The stored infidelity is the gate infidelity of the returned pulse,
-    whatever cost form ``spec`` selects. A failure names the stage and
-    the reference point.
-    """
-    model = family.model
-    try:
-        alpha, report = minimize(pulse_objective(spec, model, ansatz), x0, cfg.opt)
-    except OptimizationError as exc:
-        where = tuple(float(c) for c in point)
-        raise OptimizationError(f"{stage} failed at reference point {where}: {exc}") from exc
-    return ReferencePulse(
-        point=np.array(point, dtype=float),
-        alpha=alpha,
-        infidelity=gate_infidelity(evolve(model, ansatz, alpha), spec.target, model.dim),
-        cumulative_iterations=prior_iterations + report.iterations,
-    )
+def _failure(stage: str, point, exc: OptimizationError) -> OptimizationError:
+    """The optimizer's error, naming the stage and the reference point."""
+    where = tuple(float(c) for c in point)
+    return OptimizationError(f"{stage} failed at reference point {where}: {exc}")
 
 
 def neighbor_average(landscape: Landscape, i: int) -> np.ndarray:
@@ -159,18 +150,32 @@ def _round_record(landscape: Landscape, round_index: int, iterations: int) -> Ro
 
 
 def initial_round(cfg: CalibConfig) -> Landscape:
-    """Optimize every grid reference independently and mesh the points."""
+    """Optimize every grid reference independently and mesh the points.
+
+    All references are minimized in one lockstep batch; each gets the
+    pulse and report that minimize() gives it alone.
+    """
     family = get_family(cfg.family)
+    model = family.model
     points = family.grid(cfg.granularity)
     ansatz = _ansatz_for(family, cfg)
-    anchor = np.zeros(ansatz.n_params)
+    targets = np.stack([family.unitary(point) for point in points])
+    spec = CostSpec(target=targets, lam=cfg.lam, alpha0=np.zeros((len(points), ansatz.n_params)))
+    x0s = [seeded_init(ansatz, cfg.seed ^ index) for index in range(len(points))]
+    try:
+        results = minimize_lockstep(pulse_objective(spec, model, ansatz), x0s, cfg.opt)
+    except OptimizationError as exc:
+        raise _failure("initial optimization", points[exc.problem], exc) from exc
+    alphas = np.array([alpha for alpha, _ in results])
+    infids = gate_infidelities(evolve(model, ansatz, alphas), targets, model.dim)
     refs = [
-        _optimize_reference(
-            family, ansatz, cfg, "initial optimization", point,
-            CostSpec(target=family.unitary(point), lam=cfg.lam, alpha0=anchor),
-            seeded_init(ansatz, cfg.seed ^ index),
+        ReferencePulse(
+            point=np.array(point, dtype=float),
+            alpha=alpha,
+            infidelity=infid,
+            cumulative_iterations=report.iterations,
         )
-        for index, point in enumerate(points)
+        for point, (alpha, report), infid in zip(points, results, infids)
     ]
 
     landscape = Landscape(
@@ -190,6 +195,7 @@ def initial_round(cfg: CalibConfig) -> Landscape:
 def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
     """One neighbor-coordination pass over all references (in place)."""
     family = landscape.family
+    model = family.model
     ansatz = landscape.ansatz
     n = len(landscape.references)
 
@@ -200,16 +206,21 @@ def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
     for i in order:
         ref = landscape.references[i]
         ahat = neighbor_average(landscape, i)
-        spec = CostSpec(
-            target=family.unitary(ref.point), lam=landscape.lam, alpha0=ahat, pin_branch=True
+        target = family.unitary(ref.point)
+        spec = CostSpec(target=target, lam=landscape.lam, alpha0=ahat, pin_branch=True)
+        x0 = np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max)
+        try:
+            alpha, report = minimize(pulse_objective(spec, model, ansatz), x0, cfg.opt)
+        except OptimizationError as exc:
+            raise _failure("re-optimization", ref.point, exc) from exc
+        # The stored infidelity is the gate infidelity, whatever the cost form.
+        landscape.references[i] = ReferencePulse(
+            point=ref.point,
+            alpha=alpha,
+            infidelity=gate_infidelity(evolve(model, ansatz, alpha), target, model.dim),
+            cumulative_iterations=ref.cumulative_iterations + report.iterations,
         )
-        new = _optimize_reference(
-            family, ansatz, cfg, "re-optimization", ref.point, spec,
-            np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max),
-            prior_iterations=ref.cumulative_iterations,
-        )
-        iterations += new.cumulative_iterations - ref.cumulative_iterations
-        landscape.references[i] = new
+        iterations += report.iterations
 
     landscape.log.append(
         _round_record(landscape, landscape.log[-1].round_index + 1, iterations)

@@ -10,7 +10,15 @@ class DomainError(PulsecalError):
 
 
 class OptimizationError(PulsecalError):
-    """The optimizer encountered a non-finite cost or gradient."""
+    """The optimizer encountered a non-finite cost or gradient.
+
+    ``problem`` numbers the failing problem of a lockstep batch, and is
+    None for a single problem.
+    """
+
+    def __init__(self, message: str, problem=None):
+        super().__init__(message)
+        self.problem = problem
 
 
 class FormatError(PulsecalError):

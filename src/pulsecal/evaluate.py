@@ -21,7 +21,7 @@ import numpy as np
 
 from .calibrate import CalibConfig, Landscape, initial_round, reoptimization_round
 from .errors import DomainError
-from .linalg import overlap_infidelity
+from .linalg import gate_infidelities
 from .mesh import locate
 from .pulses import evolve
 
@@ -104,10 +104,9 @@ def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[lis
         if targets.shape != u.shape:
             raise ValueError(f"family {family.name!r} gave targets of shape {targets.shape} "
                              f"for {len(block)} points; its target must accept a batch")
-        overlaps = np.trace(targets.conj().swapaxes(-1, -2) @ u, axis1=-2, axis2=-1)
         records += [
-            EvalRecord(point=p, infidelity=overlap_infidelity(tr, model.dim), simplex=int(si))
-            for p, tr, si in zip(block, overlaps, simplices)
+            EvalRecord(point=p, infidelity=infid, simplex=int(si))
+            for p, infid, si in zip(block, gate_infidelities(u, targets, model.dim), simplices)
         ]
 
     infids = np.array([r.infidelity for r in records])

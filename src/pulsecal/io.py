@@ -115,6 +115,12 @@ def landscape_from_dict(data: dict) -> Landscape:
                 f"+-{ansatz.alpha_max}"
             )
         points = np.array([r.point for r in references])
+        for point in points:
+            if point.shape != (3,) or not family.contains(point):
+                raise FormatError(
+                    f"reference point {point.tolist()} outside the domain of "
+                    f"family {family.name!r}: requires {family.domain_description}"
+                )
         # A row naming a missing vertex, or a degenerate simplex, raises
         # DomainError; in a file it is a format fault.
         mesh = from_simplices(points, data["simplices"])

@@ -40,6 +40,16 @@ def gate_infidelity(u: np.ndarray, v: np.ndarray, dim: int) -> float:
     return overlap_infidelity(np.trace(v.conj().T @ u), dim)
 
 
+def gate_infidelities(u: np.ndarray, v: np.ndarray, dim: int) -> list:
+    """gate_infidelity of each pair of the stacks u and v, (B, dim, dim) each.
+
+    Each value is bit for bit what gate_infidelity gives for that pair
+    alone.
+    """
+    overlaps = np.trace(v.conj().swapaxes(-1, -2) @ u, axis1=-2, axis2=-1)
+    return [overlap_infidelity(tr, dim) for tr in overlaps]
+
+
 def overlap_infidelity(tr: complex, dim: int) -> float:
     """Gate infidelity from the overlap tr = Tr(v^dag u) (see gate_infidelity).
 

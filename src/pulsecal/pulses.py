@@ -34,6 +34,10 @@ The gradient of the infidelity term is exact: each segment exponential is
 differentiated through its eigendecomposition (the standard divided-
 difference formula for the derivative of a matrix exponential), and the
 chain rule over segments reuses the forward/backward partial products.
+
+``evolve`` and ``cost_and_gradient`` take one pulse or a batch of
+pulses with a leading axis; every row of a batch gets the bits that
+pulse gets alone.
 """
 
 from __future__ import annotations
@@ -114,14 +118,20 @@ def _infidelity_term(overlap: complex, dim: int, pin_branch: bool) -> float:
     return overlap_infidelity(overlap, dim)
 
 
-def _check_alpha(ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
-    """One pulse (n_params,) or a batch (B, n_params), within the amplitude bound."""
+def _as_pulses(ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
+    """One pulse (n_params,) or a batch (B, n_params), as floats."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.ndim not in (1, 2) or alpha.shape[-1] != ansatz.n_params:
         raise ValueError(
             f"alpha has shape {alpha.shape}, expected ({ansatz.n_params},) "
             f"or (B, {ansatz.n_params})"
         )
+    return alpha
+
+
+def _check_alpha(ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
+    """One pulse (n_params,) or a batch (B, n_params), within the amplitude bound."""
+    alpha = _as_pulses(ansatz, alpha)
     # NaN fails the comparison, so it is rejected with the out-of-bound values.
     if not np.all(np.abs(alpha) <= ansatz.alpha_max * (1 + 1e-12)):
         raise ValueError("alpha amplitude out of bounds or not finite")
@@ -160,55 +170,74 @@ def evolve(model: HamiltonianModel, ansatz: ControlAnsatz, alpha: np.ndarray) ->
 
 def cost_and_gradient(
     spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz, alpha: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Cost J(alpha) and its exact gradient, sharing one propagation."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (ansatz.n_params,):
-        raise ValueError(
-            f"alpha has shape {alpha.shape}, expected ({ansatz.n_params},)"
-        )
+) -> tuple:
+    """Cost J(alpha) and its exact gradient, sharing one propagation.
+
+    One pulse (n_params,) gives the cost as a float and the gradient
+    (n_params,). A batch (B, n_params) of problems, with ``spec.target``
+    (B, dim, dim) and ``spec.alpha0`` (B, n_params), gives the costs
+    (B,) and the gradients (B, n_params). Each row is bit for bit what
+    that problem gives alone: a single pulse is the batch of one, every
+    product works matrix by matrix, and the costs go through the scalar
+    infidelity formula one row at a time.
+    """
+    alpha = _as_pulses(ansatz, alpha)
     nf, ns, dim, dt = ansatz.n_controls, ansatz.n_segments, model.dim, ansatz.dt
-    alpha2d = alpha.reshape(nf, ns)
-    w, q, useg = _segment_unitaries(model, ansatz, alpha2d)
+    target = np.asarray(spec.target)
+    if target.shape != alpha.shape[:-1] + (dim, dim):
+        raise ValueError(
+            f"target has shape {target.shape}, expected {alpha.shape[:-1] + (dim, dim)}"
+        )
+    single = alpha.ndim == 1
+    alpha = alpha.reshape(-1, ansatz.n_params)
+    n_b = len(alpha)
+    w, q, useg = _segment_unitaries(model, ansatz, alpha.reshape(n_b, nf, ns))
 
     # Forward products F[s] = U_s...U_1 (F[0] = I) and backward products
-    # B[s] = U_{n_p}...U_{s+1} (B[n_p] = I).
-    fwd = np.empty((ns + 1, dim, dim), dtype=complex)
-    bwd = np.empty((ns + 1, dim, dim), dtype=complex)
-    fwd[0] = np.eye(dim)
+    # B[s] = U_{n_p}...U_{s+1} (B[n_p] = I), written in place.
+    fwd = np.empty((n_b, ns + 1, dim, dim), dtype=complex)
+    bwd = np.empty((n_b, ns + 1, dim, dim), dtype=complex)
+    fwd[:, 0] = np.eye(dim)
+    bwd[:, ns] = np.eye(dim)
+    u_s = [useg[:, s] for s in range(ns)]
+    f_s = [fwd[:, s] for s in range(ns + 1)]
+    b_s = [bwd[:, s] for s in range(ns + 1)]
     for s in range(ns):
-        fwd[s + 1] = useg[s] @ fwd[s]
-    bwd[ns] = np.eye(dim)
+        np.matmul(u_s[s], f_s[s], out=f_s[s + 1])
     for s in range(ns - 1, -1, -1):
-        bwd[s] = bwd[s + 1] @ useg[s]
+        np.matmul(b_s[s + 1], u_s[s], out=b_s[s])
 
-    vh = spec.target.conj().T
-    g_overlap = np.trace(vh @ fwd[ns])
-    # Same overlap and formula as cost(), so the two agree bit for bit.
-    infid = _infidelity_term(g_overlap, dim, spec.pin_branch)
-
+    vh = target.reshape(n_b, dim, dim).conj().swapaxes(-1, -2)
+    overlaps = np.trace(vh @ f_s[ns], axis1=-2, axis2=-1)
     lam_tilde = tikhonov_weight(spec.lam, ansatz)
     dev = alpha - np.asarray(spec.alpha0, dtype=float)
-    j = infid + lam_tilde * float(dev @ dev)
+    # Same overlap and formula as cost(), so the two agree bit for bit.
+    j = [
+        _infidelity_term(tr, dim, spec.pin_branch) + lam_tilde * float(d @ d)
+        for tr, d in zip(overlaps, dev)
+    ]
 
     # Derivative of each segment exponential in its eigenbasis: the
     # divided difference of exp(-i*dt*x) between eigenvalue pairs,
     # written with sinc so coincident eigenvalues need no special case.
-    mu = 0.5 * (w[:, :, None] + w[:, None, :])
-    delta = w[:, :, None] - w[:, None, :]
+    mu = 0.5 * (w[..., :, None] + w[..., None, :])
+    delta = w[..., :, None] - w[..., None, :]
     phi = (-1j * dt) * np.exp(-1j * dt * mu) * np.sinc(dt * delta / (2 * np.pi))
 
-    k_mid = np.einsum("sij,jk,skl->sil", fwd[:ns], vh, bwd[1:])
-    r = np.einsum("sai,sab,sbj->sij", q.conj(), k_mid, q)
-    w_ctrl = np.einsum("sai,kab,sbj->ksij", q.conj(), model.controls, q)
-    # t_all[k, s] is the derivative of Tr(V^dag U_T) by alpha[k, s].
-    t_all = np.einsum("sba,sab,ksab->ks", r, phi, w_ctrl)
+    k_mid = np.einsum("psij,pjk,pskl->psil", fwd[:, :ns], vh, bwd[:, 1:])
+    r = np.einsum("psai,psab,psbj->psij", q.conj(), k_mid, q)
+    w_ctrl = np.einsum("psai,kab,psbj->pksij", q.conj(), model.controls, q)
+    # t_all[p, k, s] is the derivative of Tr(V^dag U_T) by alpha[p, k, s].
+    t_all = np.einsum("psba,psab,pksab->pks", r, phi, w_ctrl)
     if spec.pin_branch:
         grad_infid = (-2.0 / dim) * np.real(t_all)
     else:
-        grad_infid = (-2.0 / dim**2) * np.real(np.conj(g_overlap) * t_all)
+        grad_infid = (-2.0 / dim**2) * np.real(np.conj(overlaps)[:, None, None] * t_all)
 
-    return j, grad_infid.reshape(-1) + 2.0 * lam_tilde * dev
+    grad = grad_infid.reshape(n_b, -1) + 2.0 * lam_tilde * dev
+    if single:
+        return j[0], grad[0]
+    return np.array(j), grad
 
 
 def cost(spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz, alpha) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from pulsecal.families import CONTROLS_1Q, GateFamily
 from pulsecal.io import landscape_to_dict
 from pulsecal.linalg import gate_infidelity, su_branch
 from pulsecal.mesh import build_mesh
-from pulsecal.pulses import ControlAnsatz, evolve, tikhonov_weight
+from pulsecal.optimize import minimize, pulse_objective, seeded_init
+from pulsecal.pulses import ControlAnsatz, CostSpec, evolve, tikhonov_weight
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,48 @@ def test_stored_infidelity_matches_recompute(small_landscape):
         u = evolve(model, land.ansatz, ref.alpha)
         recomputed = gate_infidelity(u, land.family.unitary(ref.point), land.family.dim)
         assert abs(recomputed - ref.infidelity) <= 1e-12
+
+
+def _serial_initial_round(cfg):
+    """The initial round as one minimize() per reference, in index order.
+
+    The reference for the lockstep batch: each reference's pulse, stored
+    infidelity and iterations come from that problem alone.
+    """
+    family = pc.get_family(cfg.family)
+    ansatz = ControlAnsatz(
+        n_controls=family.n_controls, n_segments=cfg.n_segments, alpha_max=cfg.opt.alpha_max
+    )
+    points = family.grid(cfg.granularity)
+    refs = []
+    for index, point in enumerate(points):
+        target = family.unitary(point)
+        spec = CostSpec(target=target, lam=cfg.lam, alpha0=np.zeros(ansatz.n_params))
+        alpha, report = minimize(
+            pulse_objective(spec, family.model, ansatz), seeded_init(ansatz, cfg.seed ^ index),
+            cfg.opt,
+        )
+        infid = gate_infidelity(evolve(family.model, ansatz, alpha), target, family.dim)
+        refs.append(pc.ReferencePulse(np.array(point), alpha, infid, report.iterations))
+    land = pc.Landscape(family, ansatz, cfg.lam, refs, build_mesh(points), [], cfg.seed)
+    land.log.append(
+        calibrate_mod._round_record(land, 0, sum(r.cumulative_iterations for r in refs))
+    )
+    return land
+
+
+@pytest.mark.parametrize(
+    "family,granularity,seed",
+    [("single-qubit", Fraction(1, 2), 7), ("single-qubit", Fraction(1, 4), 0),
+     ("weyl-chamber", Fraction(1, 4), 42)],
+)
+def test_lockstep_initial_round_equals_serial_minimize(family, granularity, seed, chamber_initial):
+    cfg = pc.CalibConfig(family=family, granularity=granularity, seed=seed)
+    if family == "weyl-chamber":
+        land = chamber_initial
+    else:
+        land = pc.initial_round(cfg)
+    assert landscape_to_dict(land) == landscape_to_dict(_serial_initial_round(cfg))
 
 
 # -- neighbor statistics ------------------------------------------------------
@@ -260,6 +304,22 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
         run = lambda: pc.reoptimization_round(land, cfg)
     with pytest.raises(OptimizationError, match=message):
         run()
+
+
+def test_initial_failure_at_a_later_point_names_that_point(monkeypatch):
+    # Only the reference at (1, 1, 0), the seventh of eight, fails; the
+    # others of its lockstep batch start fine.
+    def target(t):
+        if tuple(t) == (1.0, 1.0, 0.0):
+            return np.full((2, 2), np.nan, dtype=complex)
+        return pc.single_qubit_unitary(t)
+
+    bad_family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
+    monkeypatch.setattr(calibrate_mod, "get_family", lambda name: bad_family)
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
+    message = r"^initial optimization failed at reference point \(1.0, 1.0, 0.0\): non-finite"
+    with pytest.raises(OptimizationError, match=message):
+        pc.initial_round(cfg)
 
 
 def test_config_rejects_bad_values():

@@ -153,6 +153,23 @@ def test_interpolate_landscape_with_bad_amplitude(landscape_file, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "point", [[1.5, 1.5, 1.5], [1.0, 1.0, 1.0 + 1e-6], [-1e-6, 0.0, 0.0], ["nan", 1.0, 1.0]],
+    ids=["far", "just-above", "just-below", "nan"],
+)
+def test_interpolate_landscape_with_reference_outside_the_domain(
+    landscape_file, tmp_path, capsys, point
+):
+    def edit(data):
+        data["references"][-1]["point"] = [float(c) for c in point]
+
+    path = _edited_copy(landscape_file, tmp_path, edit)
+    code = main(["interpolate", "--landscape", str(path), "--point", "0.9,0.9,0.9"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "outside the domain" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "row,reason",
     [([0, 1, 2, 1_000_000], "out of range"), ([0, 0, 1, 2], "degenerate")],
     ids=["missing-vertex", "degenerate"],

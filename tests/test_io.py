@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,27 @@ def test_save_is_byte_identical(small_landscape, tmp_path):
     pc.save_landscape(small_landscape, p1)
     pc.save_landscape(small_landscape, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "family,granularity",
+    [("weyl-chamber", Fraction(1, 6)), ("cartan-box", Fraction(1, 3)),
+     ("single-qubit", Fraction(1, 3))],
+)
+def test_every_family_round_trips_bit_for_bit(family, granularity, tmp_path):
+    # Boundary points such as ty = 1 - tx = 1/3 must pass the domain check
+    # on load, whatever their float rounding.
+    cfg = pc.CalibConfig(
+        family=family, granularity=granularity, opt=pc.OptConfig(max_iter=1)
+    )
+    land = pc.initial_round(cfg)
+    path = tmp_path / "land.json"
+    pc.save_landscape(land, path)
+    loaded = pc.load_landscape(path)
+    assert landscape_to_dict(loaded) == landscape_to_dict(land)
+    for a, b in zip(land.references, loaded.references):
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.alpha.tobytes() == b.alpha.tobytes()
 
 
 def test_header_is_self_describing(saved):

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 import pulsecal as pc
 from pulsecal.errors import OptimizationError
 from pulsecal.families import CONTROLS_1Q
-from pulsecal.optimize import OptConfig, minimize, pulse_objective, seeded_init
+from pulsecal.optimize import (
+    OptConfig,
+    minimize,
+    minimize_lockstep,
+    pulse_objective,
+    seeded_init,
+)
 from pulsecal.pulses import ControlAnsatz, CostSpec, HamiltonianModel, evolve
 
 ANSATZ_1Q = ControlAnsatz(n_controls=2)
@@ -108,6 +114,96 @@ def test_config_validation():
         OptConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         OptConfig(alpha_max=-1.0)
+
+
+# -- lockstep batches ---------------------------------------------------------
+
+def weighted_quadratic(center, weights, offset=0.0, sign=1.0):
+    """offset + sum w (x - c)^2; sign=-1 hands back an uphill gradient."""
+    center = np.asarray(center, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+
+    def fn(x):
+        d = x - center
+        return offset + float(weights @ (d * d)), sign * 2.0 * weights * d
+
+    return fn
+
+
+def row_by_row(funs, calls):
+    """A lockstep objective that evaluates each row with its own function."""
+
+    def fn(xs, rows):
+        calls.append(list(rows))
+        out = [funs[i](x) for i, x in zip(rows, xs)]
+        return np.array([f for f, _ in out]), np.array([g for _, g in out])
+
+    return fn
+
+
+def test_lockstep_gives_each_problem_what_minimize_gives_it_alone():
+    rng = np.random.default_rng(5)
+    c = [rng.uniform(-0.8, 0.8, 6) for _ in range(7)]
+    funs = [
+        weighted_quadratic(c[0], np.ones(6)),  # grad_tol after 2 steps
+        weighted_quadratic(c[1], np.logspace(0, 4, 6)),  # max_iter
+        weighted_quadratic(c[2], np.logspace(0, 2, 6), offset=1e10),  # stall, tiny gains
+        weighted_quadratic(c[3], np.ones(6), sign=-1.0),  # stall, line search fails
+        weighted_quadratic([2.0, 0.3, -3.0, 0.1, 0.5, 0.2], np.ones(6)),  # grad_tol on the box
+        weighted_quadratic(c[5], np.logspace(0, 3, 6), offset=1e9),  # stall, later
+        weighted_quadratic(np.zeros(6), np.ones(6)),  # grad_tol at the start
+    ]
+    x0s = [np.zeros(6)] * 6 + [np.zeros(6)]
+    cfg = OptConfig(max_iter=12)
+    calls = []
+    results = minimize_lockstep(row_by_row(funs, calls), x0s, cfg)
+    assert len(results) == len(funs)
+    for fun, x0, (x, report) in zip(funs, x0s, results):
+        x_alone, report_alone = minimize(fun, x0, cfg)
+        assert x.tobytes() == x_alone.tobytes()
+        assert report == report_alone
+    reports = [report for _, report in results]
+    assert {r.converged_by for r in reports} == {"grad_tol", "stall", "max_iter"}
+    assert len({r.n_evaluations for r in reports}) >= 5
+    # One call per tick, rows ascending; a problem leaves the batch when it
+    # stops, so it takes part in exactly as many ticks as it evaluates.
+    assert calls[0] == list(range(len(funs)))
+    assert all(rows == sorted(rows) for rows in calls)
+    assert len(calls) == max(r.n_evaluations for r in reports)
+    for i, r in enumerate(reports):
+        assert sum(i in rows for rows in calls) == r.n_evaluations
+        assert all(i in rows for rows in calls[: r.n_evaluations])
+
+
+def test_lockstep_pulse_problems_equal_minimize_alone():
+    points = [(0.2, 0.7, 0.1), (1.0, 0.0, 0.0), (0.4, 0.3, 0.2), (0.0, 0.0, 0.0), (0.9, 0.5, 0.6)]
+    targets = pc.single_qubit_unitary(np.array(points))
+    anchors = np.zeros((len(points), 40))
+    x0s = [seeded_init(ANSATZ_1Q, seed) for seed in range(len(points))]
+    cfg = OptConfig()
+    batch = pulse_objective(CostSpec(targets, 1e-2, anchors), MODEL_1Q, ANSATZ_1Q)
+    results = minimize_lockstep(batch, x0s, cfg)
+    for target, x0, (x, report) in zip(targets, x0s, results):
+        obj = pulse_objective(CostSpec(target, 1e-2, np.zeros(40)), MODEL_1Q, ANSATZ_1Q)
+        x_alone, report_alone = minimize(obj, x0, cfg)
+        assert x.tobytes() == x_alone.tobytes()
+        assert report == report_alone
+    assert len({(r.converged_by, r.n_evaluations) for _, r in results}) > 1
+
+
+def test_lockstep_raises_for_the_lowest_numbered_failing_problem():
+    def nan_cost(x):
+        return np.nan, np.zeros_like(x)
+
+    funs = [weighted_quadratic(np.full(3, 0.5), np.ones(3))] * 5
+    funs[2] = funs[4] = nan_cost
+    with pytest.raises(OptimizationError, match="non-finite cost or gradient at initial point") as info:
+        minimize_lockstep(row_by_row(funs, []), [np.zeros(3)] * 5, OptConfig())
+    assert info.value.problem == 2
+
+
+def test_lockstep_of_no_problems_is_empty():
+    assert minimize_lockstep(row_by_row([], []), [], OptConfig()) == []
 
 
 # -- seeded initial guesses ---------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,51 @@ def test_cost_and_gradient_agree_with_separate_calls():
         j, g = cost_and_gradient(spec, MODEL_1Q, ANSATZ_1Q, alpha)
         assert j == cost(spec, MODEL_1Q, ANSATZ_1Q, alpha)
         assert np.array_equal(g, cost_and_gradient(spec, MODEL_1Q, ANSATZ_1Q, alpha)[1])
+
+
+def _family_points(family, rng, n):
+    points = rng.random((n, 3))
+    if family.name == "weyl-chamber":
+        points[:, 1] *= np.minimum(points[:, 0], 1 - points[:, 0])
+        points[:, 2] *= points[:, 1]
+    return points
+
+
+@pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
+@pytest.mark.parametrize("pin", [False, True])
+@pytest.mark.parametrize("n_batch", [1, 7, 43])
+def test_batched_cost_and_gradient_equal_single_calls_bit_for_bit(family, pin, n_batch):
+    rng = np.random.default_rng(n_batch + 10 * pin)
+    ansatz = ControlAnsatz(n_controls=family.n_controls)
+    targets = family.target(_family_points(family, rng, n_batch))
+    anchors = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
+    alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
+    # Pulses that sit on the amplitude bound, wholly or in part.
+    alphas[0, ::3] = 1.0
+    alphas[-1, 1::4] = -1.0
+    if n_batch > 2:
+        alphas[1] = np.where(alphas[1] > 0, 1.0, -1.0)
+    spec = CostSpec(target=targets, lam=1e-2, alpha0=anchors, pin_branch=pin)
+    costs, grads = cost_and_gradient(spec, family.model, ansatz, alphas)
+    assert costs.shape == (n_batch,) and grads.shape == (n_batch, ansatz.n_params)
+    for b in range(n_batch):
+        one = CostSpec(target=targets[b], lam=1e-2, alpha0=anchors[b], pin_branch=pin)
+        j, g = cost_and_gradient(one, family.model, ansatz, alphas[b])
+        assert isinstance(j, float) and g.shape == (ansatz.n_params,)
+        assert costs[b] == j and grads[b].tobytes() == g.tobytes()
+
+
+def test_cost_and_gradient_reject_targets_that_do_not_match_the_batch():
+    targets = pc.single_qubit_unitary(np.full((3, 3), 0.2))
+    spec = CostSpec(target=targets, lam=1e-2, alpha0=np.zeros(40))
+    with pytest.raises(ValueError, match="target has shape"):
+        cost_and_gradient(spec, MODEL_1Q, ANSATZ_1Q, np.zeros((4, 40)))
+    with pytest.raises(ValueError, match="target has shape"):
+        cost_and_gradient(spec, MODEL_1Q, ANSATZ_1Q, np.zeros(40))
+    with pytest.raises(ValueError, match="target has shape"):
+        cost_and_gradient(replace(spec, target=targets[0]), MODEL_1Q, ANSATZ_1Q, np.zeros((3, 40)))
+    with pytest.raises(ValueError, match="shape"):
+        cost_and_gradient(spec, MODEL_1Q, ANSATZ_1Q, np.zeros((3, 39)))
 
 
 # -- ansatz validation ------------------------------------------------------
