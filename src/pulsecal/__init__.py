@@ -59,7 +59,6 @@ from .pulses import (
     ControlAnsatz,
     CostSpec,
     HamiltonianModel,
-    cost,
     cost_and_gradient,
     evolve,
     tikhonov_weight,
@@ -93,7 +92,6 @@ __all__ = [
     "build_mesh",
     "calibrate",
     "cartan_unitary",
-    "cost",
     "cost_and_gradient",
     "evaluate_grid",
     "evolve",

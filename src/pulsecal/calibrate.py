@@ -17,10 +17,20 @@ the neighbor penalties are snapshotted once at the start of the round and
 fix the visiting order (descending penalty, ties by ascending vertex
 index). Each visit then recomputes the neighbor average from the *latest*
 pulses, and re-optimizes with both the initial guess and the Tikhonov
-anchor set to that average. Rounds are therefore sequential and
-order-dependent by construction, and visit one reference at a time.
-Every round runs on the calling thread, in a fixed order, so a seed
-fixes the landscape bit for bit.
+anchor set to that average. Rounds are therefore order-dependent by
+construction.
+
+A visit reads only its mesh neighbors' pulses, so the round runs the
+visit order in waves: a vertex goes in the wave after the latest one that
+holds a neighbor visited before it. No wave holds two neighbors, and a
+neighbor visited later always sits in a later wave, so every visit reads
+the pulses it reads when the visits run one at a time. Each wave runs as
+one lockstep batch, with its stored infidelities from one batched
+``evolve``, and every reference gets the pulse, iterations and stored
+infidelity of the one-at-a-time visit, bit for bit. Colouring the mesh
+instead would batch more, but it changes the visit order and so the
+results. Every round runs on the calling thread, in a fixed order, so a
+seed fixes the landscape bit for bit.
 
 The initial round minimizes the phase-insensitive gate infidelity, so
 each reference may land on any SU(d) branch c * V(t), c^d = 1. The
@@ -40,9 +50,9 @@ import numpy as np
 
 from .errors import OptimizationError
 from .families import GateFamily, get_family
-from .linalg import gate_infidelities, gate_infidelity
+from .linalg import gate_infidelities
 from .mesh import SimplicialMesh, build_mesh, neighbors
-from .optimize import OptConfig, minimize, minimize_lockstep, pulse_objective, seeded_init
+from .optimize import OptConfig, minimize_lockstep, pulse_objective, seeded_init
 from .pulses import ControlAnsatz, CostSpec, evolve, tikhonov_weight
 
 
@@ -192,35 +202,57 @@ def initial_round(cfg: CalibConfig) -> Landscape:
     return landscape
 
 
+def _waves(mesh: SimplicialMesh, order) -> list:
+    """Split a visit order into waves that can each run as one batch.
+
+    A vertex goes in the wave after the latest one that holds a neighbor
+    visited before it; within a wave, vertices keep their visit order.
+    Why this keeps every visit's inputs is in the module header.
+    """
+    wave_of, waves = {}, []
+    for i in order:
+        k = 1 + max((wave_of[j] for j in neighbors(mesh, i) if j in wave_of), default=-1)
+        wave_of[i] = k
+        if k == len(waves):
+            waves.append([])
+        waves[k].append(i)
+    return waves
+
+
 def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
-    """One neighbor-coordination pass over all references (in place)."""
+    """One neighbor-coordination pass over all references (in place).
+
+    Runs the visit order wave by wave (see _waves), each wave as one
+    lockstep batch whose problems are numbered in visit order; every
+    reference gets the pulse and report that visiting it alone gives.
+    """
     family = landscape.family
     model = family.model
     ansatz = landscape.ansatz
-    n = len(landscape.references)
+    refs = landscape.references
 
-    snapshot = [neighbor_penalty(landscape, i) for i in range(n)]
-    order = visit_order(snapshot)
-
+    snapshot = [neighbor_penalty(landscape, i) for i in range(len(refs))]
     iterations = 0
-    for i in order:
-        ref = landscape.references[i]
-        ahat = neighbor_average(landscape, i)
-        target = family.unitary(ref.point)
-        spec = CostSpec(target=target, lam=landscape.lam, alpha0=ahat, pin_branch=True)
-        x0 = np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max)
+    for wave in _waves(landscape.mesh, visit_order(snapshot)):
+        ahats = np.stack([neighbor_average(landscape, i) for i in wave])
+        targets = np.stack([family.unitary(refs[i].point) for i in wave])
+        spec = CostSpec(target=targets, lam=landscape.lam, alpha0=ahats, pin_branch=True)
+        x0s = np.clip(ahats, -ansatz.alpha_max, ansatz.alpha_max)
         try:
-            alpha, report = minimize(pulse_objective(spec, model, ansatz), x0, cfg.opt)
+            results = minimize_lockstep(pulse_objective(spec, model, ansatz), x0s, cfg.opt)
         except OptimizationError as exc:
-            raise _failure("re-optimization", ref.point, exc) from exc
+            raise _failure("re-optimization", refs[wave[exc.problem]].point, exc) from exc
+        alphas = np.array([alpha for alpha, _ in results])
         # The stored infidelity is the gate infidelity, whatever the cost form.
-        landscape.references[i] = ReferencePulse(
-            point=ref.point,
-            alpha=alpha,
-            infidelity=gate_infidelity(evolve(model, ansatz, alpha), target, model.dim),
-            cumulative_iterations=ref.cumulative_iterations + report.iterations,
-        )
-        iterations += report.iterations
+        infids = gate_infidelities(evolve(model, ansatz, alphas), targets, model.dim)
+        for i, (alpha, report), infid in zip(wave, results, infids):
+            refs[i] = ReferencePulse(
+                point=refs[i].point,
+                alpha=alpha,
+                infidelity=infid,
+                cumulative_iterations=refs[i].cumulative_iterations + report.iterations,
+            )
+            iterations += report.iterations
 
     landscape.log.append(
         _round_record(landscape, landscape.log[-1].round_index + 1, iterations)

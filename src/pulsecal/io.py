@@ -73,22 +73,54 @@ def save_landscape(landscape: Landscape, path) -> None:
         f.write("\n")
 
 
+def _float(value) -> float:
+    """A JSON number as a float, exactly.
+
+    A string or a boolean, which float() would convert, and an integer
+    that no float holds exactly are FormatErrors.
+    """
+    if isinstance(value, float):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 2**53:
+        return float(value)
+    raise FormatError(f"expected a number, got {value!r}")
+
+
+def _count(value) -> int:
+    """A JSON integer, as a count or an index.
+
+    A fraction, which int() would truncate, a string and a boolean are
+    FormatErrors.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise FormatError(f"expected an integer, got {value!r}")
+
+
+def _list(value) -> list:
+    """A JSON array; a string or an object would iterate as characters or keys."""
+    if not isinstance(value, list):
+        raise FormatError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
 def landscape_from_dict(data: dict) -> Landscape:
     try:
         if data.get("format") != FORMAT_NAME:
             raise FormatError(f"not a {FORMAT_NAME} file")
-        if data.get("version") != FORMAT_VERSION:
+        version = data.get("version")
+        if isinstance(version, bool) or version != FORMAT_VERSION:
             raise FormatError(
-                f"unsupported landscape version {data.get('version')!r}, "
+                f"unsupported landscape version {version!r}, "
                 f"expected {FORMAT_VERSION}"
             )
         family = get_family(data["family"])
         a = data["ansatz"]
         ansatz = ControlAnsatz(
-            n_controls=int(a["n_controls"]),
-            n_segments=int(a["n_segments"]),
-            duration=float(a["duration"]),
-            alpha_max=float(a["alpha_max"]),
+            n_controls=_count(a["n_controls"]),
+            n_segments=_count(a["n_segments"]),
+            duration=_float(a["duration"]),
+            alpha_max=_float(a["alpha_max"]),
         )
         if ansatz.n_controls != family.n_controls:
             raise FormatError(
@@ -97,12 +129,12 @@ def landscape_from_dict(data: dict) -> Landscape:
             )
         references = [
             ReferencePulse(
-                point=np.array(r["point"], dtype=float),
-                alpha=np.array([float.fromhex(h) for h in r["alpha_hex"]]),
-                infidelity=float(r["infidelity"]),
-                cumulative_iterations=int(r["iterations"]),
+                point=np.array([_float(c) for c in _list(r["point"])], dtype=float),
+                alpha=np.array([float.fromhex(h) for h in _list(r["alpha_hex"])]),
+                infidelity=_float(r["infidelity"]),
+                cumulative_iterations=_count(r["iterations"]),
             )
-            for r in data["references"]
+            for r in _list(data["references"])
         ]
         for ref in references:
             if ref.alpha.shape != (ansatz.n_params,):
@@ -123,21 +155,24 @@ def landscape_from_dict(data: dict) -> Landscape:
                 )
         # A row naming a missing vertex, or a degenerate simplex, raises
         # DomainError; in a file it is a format fault.
-        mesh = from_simplices(points, data["simplices"])
+        simplices = [[_count(i) for i in _list(row)] for row in _list(data["simplices"])]
+        mesh = from_simplices(points, simplices)
         log = [
             RoundRecord(
-                round_index=int(rec["round"]),
-                iterations=int(rec["iterations"]),
-                cumulative_iterations=int(rec["cumulative_iterations"]),
-                mean_infidelity=float(rec["mean_infidelity"]),
-                max_infidelity=float(rec["max_infidelity"]),
-                mean_penalty=float(rec["mean_penalty"]),
+                round_index=_count(rec["round"]),
+                iterations=_count(rec["iterations"]),
+                cumulative_iterations=_count(rec["cumulative_iterations"]),
+                mean_infidelity=_float(rec["mean_infidelity"]),
+                max_infidelity=_float(rec["max_infidelity"]),
+                mean_penalty=_float(rec["mean_penalty"]),
             )
-            for rec in data["log"]
+            for rec in _list(data["log"])
         ]
-        lam = float(data["lambda"])
-        seed = int(data["seed"])
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+        lam = _float(data["lambda"])
+        seed = _count(data["seed"])
+    # OverflowError: a hex amplitude past the float range, or a vertex
+    # index past 64 bits.
+    except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc
     return Landscape(
         family=family,
@@ -152,9 +187,11 @@ def landscape_from_dict(data: dict) -> Landscape:
 
 def load_landscape(path) -> Landscape:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
-    except json.JSONDecodeError as exc:
+    # Bytes that are not UTF-8 raise UnicodeDecodeError, bad JSON
+    # JSONDecodeError: both are ValueErrors.
+    except ValueError as exc:
         raise FormatError(f"corrupt landscape file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError(f"corrupt landscape file {path}: expected an object")

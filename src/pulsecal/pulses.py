@@ -61,8 +61,9 @@ class ControlAnsatz:
     def __post_init__(self):
         if self.n_controls < 1 or self.n_segments < 1:
             raise ValueError("n_controls and n_segments must be positive")
-        if self.duration <= 0 or self.alpha_max <= 0:
-            raise ValueError("duration and alpha_max must be positive")
+        # NaN fails both comparisons.
+        if not (0 < self.duration < np.inf and 0 < self.alpha_max < np.inf):
+            raise ValueError("duration and alpha_max must be positive and finite")
 
     @property
     def dt(self) -> float:
@@ -211,7 +212,6 @@ def cost_and_gradient(
     overlaps = np.trace(vh @ f_s[ns], axis1=-2, axis2=-1)
     lam_tilde = tikhonov_weight(spec.lam, ansatz)
     dev = alpha - np.asarray(spec.alpha0, dtype=float)
-    # Same overlap and formula as cost(), so the two agree bit for bit.
     j = [
         _infidelity_term(tr, dim, spec.pin_branch) + lam_tilde * float(d @ d)
         for tr, d in zip(overlaps, dev)
@@ -239,11 +239,3 @@ def cost_and_gradient(
         return j[0], grad[0]
     return np.array(j), grad
 
-
-def cost(spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz, alpha) -> float:
-    alpha = _check_alpha(ansatz, alpha)
-    u = evolve(model, ansatz, alpha)
-    overlap = np.trace(spec.target.conj().T @ u)
-    lam_tilde = tikhonov_weight(spec.lam, ansatz)
-    dev = alpha - np.asarray(spec.alpha0, dtype=float)
-    return _infidelity_term(overlap, model.dim, spec.pin_branch) + lam_tilde * float(dev @ dev)

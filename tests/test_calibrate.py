@@ -1,9 +1,13 @@
+import copy
 import dataclasses
+import functools
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import importlib
 
@@ -16,7 +20,7 @@ calibrate_mod = importlib.import_module("pulsecal.calibrate")
 from pulsecal.families import CONTROLS_1Q, GateFamily
 from pulsecal.io import landscape_to_dict
 from pulsecal.linalg import gate_infidelity, su_branch
-from pulsecal.mesh import build_mesh
+from pulsecal.mesh import build_mesh, neighbors
 from pulsecal.optimize import minimize, pulse_objective, seeded_init
 from pulsecal.pulses import ControlAnsatz, CostSpec, evolve, tikhonov_weight
 
@@ -221,6 +225,76 @@ def test_round_is_noop_on_converged_uniform_landscape():
     assert rec.mean_penalty == 0.0
 
 
+def _serial_round(land, cfg):
+    """A coordination round as one minimize() per visit, in visit order.
+
+    The reference for the waves: each visit reads its neighbors' latest
+    pulses, and its pulse, stored infidelity and iterations come from
+    that problem alone.
+    """
+    family, ansatz, model = land.family, land.ansatz, land.family.model
+    order = pc.visit_order([pc.neighbor_penalty(land, i) for i in range(len(land.references))])
+    iterations = 0
+    for i in order:
+        ref = land.references[i]
+        ahat = pc.neighbor_average(land, i)
+        target = family.unitary(ref.point)
+        spec = CostSpec(target=target, lam=land.lam, alpha0=ahat, pin_branch=True)
+        x0 = np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max)
+        alpha, report = minimize(pulse_objective(spec, model, ansatz), x0, cfg.opt)
+        infid = gate_infidelity(evolve(model, ansatz, alpha), target, family.dim)
+        land.references[i] = pc.ReferencePulse(
+            ref.point, alpha, infid, ref.cumulative_iterations + report.iterations
+        )
+        iterations += report.iterations
+    land.log.append(calibrate_mod._round_record(land, land.log[-1].round_index + 1, iterations))
+    return land
+
+
+@pytest.mark.parametrize(
+    "family,granularity,seed,rounds",
+    [("single-qubit", Fraction(1, 2), 7, 2), ("single-qubit", Fraction(1, 4), 0, 1),
+     ("weyl-chamber", Fraction(1, 4), 42, 1)],
+)
+def test_wave_rounds_equal_serial_visits(family, granularity, seed, rounds, chamber_initial):
+    cfg = pc.CalibConfig(family=family, granularity=granularity, seed=seed)
+    if family == "weyl-chamber":
+        start = chamber_initial
+    else:
+        start = pc.initial_round(cfg)
+    waves, serial = copy.deepcopy(start), copy.deepcopy(start)
+    for _ in range(rounds):
+        pc.reoptimization_round(waves, cfg)
+        _serial_round(serial, cfg)
+        assert landscape_to_dict(waves) == landscape_to_dict(serial)
+
+
+@functools.lru_cache(maxsize=None)
+def _wave_mesh(name):
+    if name == "toy":
+        return _toy_landscape([np.zeros(100)] * 4).mesh
+    return build_mesh(pc.get_family(name).grid(Fraction(1, 4)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), name=st.sampled_from(["weyl-chamber", "single-qubit", "cartan-box", "toy"]))
+def test_waves_keep_every_visit_after_its_earlier_neighbors(data, name):
+    mesh = _wave_mesh(name)
+    order = data.draw(st.permutations(range(mesh.n_vertices)))
+    waves = calibrate_mod._waves(mesh, order)
+    position = {v: p for p, v in enumerate(order)}
+    wave_of = {v: k for k, wave in enumerate(waves) for v in wave}
+    assert sorted(v for wave in waves for v in wave) == list(range(mesh.n_vertices))
+    for k, wave in enumerate(waves):
+        assert [position[v] for v in wave] == sorted(position[v] for v in wave)
+        for v in wave:
+            earlier = [wave_of[j] for j in neighbors(mesh, v) if position[j] < position[v]]
+            assert all(w < k for w in earlier)
+            # The earliest wave allowed: the first, or the one after an
+            # earlier neighbor's.
+            assert k == 0 or k - 1 in earlier
+
+
 def test_references_stay_converged_after_each_round(healed_run):
     # Round 0 may leave stragglers (it does at this seed); every
     # coordination round after it keeps all references converged.
@@ -320,6 +394,26 @@ def test_initial_failure_at_a_later_point_names_that_point(monkeypatch):
     message = r"^initial optimization failed at reference point \(1.0, 1.0, 0.0\): non-finite"
     with pytest.raises(OptimizationError, match=message):
         pc.initial_round(cfg)
+
+
+def test_coordination_failure_not_first_in_its_wave_names_that_point():
+    # The second and third references of a wave fail at their start; the
+    # first of the wave, and every earlier wave, run fine.
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), seed=7)
+    land = pc.initial_round(cfg)
+    order = pc.visit_order([pc.neighbor_penalty(land, i) for i in range(len(land.references))])
+    wave = next(w for w in calibrate_mod._waves(land.mesh, order) if len(w) >= 3)
+    failing = {tuple(land.references[i].point) for i in wave[1:3]}
+
+    def target(t):
+        if tuple(t) in failing:
+            return np.full((2, 2), np.nan, dtype=complex)
+        return pc.single_qubit_unitary(t)
+
+    land.family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
+    where = re.escape(str(tuple(float(c) for c in land.references[wave[1]].point)))
+    with pytest.raises(OptimizationError, match=rf"^re-optimization failed at reference point {where}: non-finite"):
+        pc.reoptimization_round(land, cfg)
 
 
 def test_config_rejects_bad_values():

@@ -152,6 +152,20 @@ def test_interpolate_landscape_with_bad_amplitude(landscape_file, tmp_path, caps
         assert "finite" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize("field", ["duration", "alpha_max"])
+def test_interpolate_landscape_with_non_finite_ansatz(landscape_file, tmp_path, capsys, field, value):
+    # An infinite duration served every pulse with a NaN infidelity.
+    def edit(data):
+        data["ansatz"][field] = value
+
+    path = _edited_copy(landscape_file, tmp_path, edit)
+    code = main(["interpolate", "--landscape", str(path), "--point", "0.1,0.1,0.1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "finite" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "point", [[1.5, 1.5, 1.5], [1.0, 1.0, 1.0 + 1e-6], [-1e-6, 0.0, 0.0], ["nan", 1.0, 1.0]],
     ids=["far", "just-above", "just-below", "nan"],

@@ -1,8 +1,11 @@
+import copy
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pulsecal as pc
 from pulsecal.errors import FormatError
@@ -130,3 +133,96 @@ def test_rejects_corrupt_json(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         pc.load_landscape(tmp_path / "nope.json")
+
+
+# -- fuzzing ------------------------------------------------------------------
+# A saved file with one entry replaced or deleted, or a few bytes changed,
+# must either load as exactly what it says or raise FormatError.
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.floats(-2.0, 2.0).map(float.hex),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutated(data, draw):
+    """``data`` with one entry somewhere in it replaced or deleted."""
+    data = copy.deepcopy(data)
+    node = data
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        if draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(_JSON_VALUES)
+        return data
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _holds(loaded, filed, key=None) -> bool:
+    """Whether the loaded value ``loaded`` is the file's ``filed``, exactly.
+
+    ``loaded`` comes from landscape_to_dict of the loaded landscape. Pulse
+    amplitudes compare as the floats their hex strings denote, and the
+    mesh as its set of vertex sets, which the loader puts in canonical
+    order; everything else compares value for value, type included.
+    """
+    if isinstance(loaded, dict):
+        return isinstance(filed, dict) and all(
+            k in filed and _holds(v, filed[k], k) for k, v in loaded.items()
+        )
+    if key == "simplices":
+        try:
+            return _holds(loaded, sorted(sorted(row) for row in filed))
+        except TypeError:
+            return False
+    if isinstance(loaded, list):
+        return (isinstance(filed, list) and len(loaded) == len(filed)
+                and all(_holds(a, b, key) for a, b in zip(loaded, filed)))
+    if key == "alpha_hex":
+        return isinstance(filed, str) and _same_bits(float.fromhex(loaded), float.fromhex(filed))
+    if isinstance(loaded, str):
+        return loaded == filed
+    if isinstance(filed, bool) or not isinstance(filed, (int, float)):
+        return False
+    if isinstance(loaded, int):
+        return loaded == filed
+    return _same_bits(loaded, filed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_exactly_or_raises_format_error(small_landscape, tmp_path_factory, data):
+    mutated = _mutated(landscape_to_dict(small_landscape), data.draw)
+    path = tmp_path_factory.mktemp("fuzz") / "land.json"
+    path.write_text(json.dumps(mutated))
+    try:
+        loaded = pc.load_landscape(path)
+    except FormatError:
+        return
+    assert _holds(landscape_to_dict(loaded), mutated)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_corrupted_bytes_load_exactly_or_raise_format_error(small_landscape, tmp_path_factory, data):
+    text = json.dumps(landscape_to_dict(small_landscape)).encode()
+    at = data.draw(st.integers(0, len(text) - 1))
+    cut = data.draw(st.integers(0, 3))
+    text = text[:at] + data.draw(st.binary(max_size=3)) + text[at + cut:]
+    path = tmp_path_factory.mktemp("fuzz") / "land.json"
+    path.write_bytes(text)
+    try:
+        loaded = pc.load_landscape(path)
+    except FormatError:
+        return
+    assert _holds(landscape_to_dict(loaded), json.loads(text.decode()))

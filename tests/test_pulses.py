@@ -13,11 +13,12 @@ from pulsecal.pulses import (
     ControlAnsatz,
     CostSpec,
     HamiltonianModel,
-    cost,
     cost_and_gradient,
     evolve,
     tikhonov_weight,
 )
+
+from cost_reference import cost
 
 ANSATZ_1Q = ControlAnsatz(n_controls=2)
 ANSATZ_2Q = ControlAnsatz(n_controls=5)
