@@ -108,8 +108,9 @@ class CalibConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        # NaN fails both comparisons.
+        if not 0 <= self.lam < float("inf"):
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
 
 
 def _ansatz_for(family: GateFamily, cfg: CalibConfig) -> ControlAnsatz:

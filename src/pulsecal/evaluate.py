@@ -133,6 +133,8 @@ def sweep(
     cumulative iteration counts in consecutive summaries trace a single
     calibration trajectory per granularity.
     """
+    if max_rounds < 0:
+        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
     rows = []
     for g in granularities:
         run_cfg = replace(cfg, family=family, granularity=Fraction(g), rounds=0)

@@ -12,6 +12,7 @@ re-triangulating.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -73,7 +74,7 @@ def save_landscape(landscape: Landscape, path) -> None:
         f.write("\n")
 
 
-def _float(value) -> float:
+def _number(value) -> float:
     """A JSON number as a float, exactly.
 
     A string or a boolean, which float() would convert, and an integer
@@ -84,6 +85,14 @@ def _float(value) -> float:
     if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 2**53:
         return float(value)
     raise FormatError(f"expected a number, got {value!r}")
+
+
+def _float(value) -> float:
+    """A finite JSON number as a float, exactly; NaN and +-inf are FormatErrors."""
+    x = _number(value)
+    if not math.isfinite(x):
+        raise FormatError(f"expected a finite number, got {value!r}")
+    return x
 
 
 def _count(value) -> int:
@@ -127,9 +136,11 @@ def landscape_from_dict(data: dict) -> Landscape:
                 f"ansatz has {ansatz.n_controls} controls but family "
                 f"{family.name!r} defines {family.n_controls}"
             )
+        # A non-finite coordinate is left to the domain check below,
+        # which names the family's domain.
         references = [
             ReferencePulse(
-                point=np.array([_float(c) for c in _list(r["point"])], dtype=float),
+                point=np.array([_number(c) for c in _list(r["point"])], dtype=float),
                 alpha=np.array([float.fromhex(h) for h in _list(r["alpha_hex"])]),
                 infidelity=_float(r["infidelity"]),
                 cumulative_iterations=_count(r["iterations"]),

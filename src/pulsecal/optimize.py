@@ -6,15 +6,19 @@ search probes are tallied separately in the report. Given the same
 starting point and configuration the run is bit-reproducible: there is
 no randomness anywhere in the loop.
 
+``OptConfig`` holds the iteration cap and the amplitude bound; the
+stopping tolerances are module constants.
+
 The L-BFGS body is written once, as an ask/tell machine (``_lbfgs``): a
 generator that yields every point it needs evaluated and is sent back
 the cost and gradient there. ``minimize`` drives one machine with one
-objective. ``minimize_lockstep`` drives many: each tick it stacks every
-unfinished problem's pending point, evaluates them in one batched
-objective call, and sends each machine its own row, so a problem's
-arithmetic, and so its result, is the same as alone. The pulse kernel
-gives every row of a batch the bits of a single call, which is what
-lets independent pulse problems share its per-call overhead.
+objective ``fun(x)``. ``minimize_lockstep`` drives many: each tick it
+stacks every unfinished problem's pending point, evaluates them in one
+batched objective call ``fun(xs, rows)``, and sends each machine its own
+row, so a problem's arithmetic, and so its result, is the same as alone.
+The pulse kernel gives every row of a batch the bits of a single call,
+which is what lets independent pulse problems share its per-call
+overhead.
 """
 
 from __future__ import annotations
@@ -34,21 +38,22 @@ from .pulses import ControlAnsatz, CostSpec, HamiltonianModel, cost_and_gradient
 # about 43 problems a call, the time per problem hardly falls.
 _BLOCK = 64
 
+# Stop on a projected gradient below _GRAD_TOL, or after _STALL_WINDOW
+# accepted steps in a row that each gain at most _COST_REL_TOL of the cost.
+_GRAD_TOL = 1e-8
+_COST_REL_TOL = 1e-9
+_STALL_WINDOW = 5
+_HISTORY = 10  # curvature pairs kept by the two-loop recursion
+
 
 @dataclass(frozen=True)
 class OptConfig:
     alpha_max: float = 1.0
     max_iter: int = 50
-    grad_tol: float = 1e-8
-    cost_rel_tol: float = 1e-9
-    stall_window: int = 5
-    history: int = 10
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.grad_tol <= 0 or self.cost_rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.alpha_max <= 0:
             raise ValueError("alpha_max must be positive")
 
@@ -79,20 +84,16 @@ def seeded_init(ansatz: ControlAnsatz, rng_seed: int, scale: Optional[float] = N
 
 def pulse_objective(
     spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz
-) -> Callable[..., tuple]:
-    """The objective of pulse problems, as minimize() and minimize_lockstep() take it.
+) -> Callable[[np.ndarray, np.ndarray], tuple]:
+    """The objective of N pulse problems, as minimize_lockstep() takes it.
 
-    For one problem, ``fn(alpha)`` returns the cost and its gradient
-    from one time propagation. For a batch of N problems, ``spec``
-    holds their targets (N, dim, dim) and anchors (N, n_params), and
+    ``spec`` holds their targets (N, dim, dim) and anchors (N, n_params).
     ``fn(alphas, rows)`` evaluates the problems numbered ``rows`` at the
-    pulses ``alphas`` (len(rows), n_params), in kernel calls of at most
-    _BLOCK problems.
+    pulses ``alphas`` (len(rows), n_params) and returns their costs and
+    gradients, in kernel calls of at most _BLOCK problems.
     """
 
-    def fn(alpha: np.ndarray, rows=None) -> tuple:
-        if rows is None:
-            return cost_and_gradient(spec, model, ansatz, alpha)
+    def fn(alpha: np.ndarray, rows: np.ndarray) -> tuple:
         costs, grads = [], []
         for start in range(0, len(rows), _BLOCK):
             block = rows[start : start + _BLOCK]
@@ -135,7 +136,7 @@ def _lbfgs(x0: np.ndarray, cfg: OptConfig) -> Generator[np.ndarray, tuple, tuple
         pg = g.copy()
         pg[at_lo & (g > 0)] = 0.0
         pg[at_up & (g < 0)] = 0.0
-        if np.abs(pg).max() < cfg.grad_tol:
+        if np.abs(pg).max() < _GRAD_TOL:
             reason = "grad_tol"
             break
 
@@ -198,15 +199,15 @@ def _lbfgs(x0: np.ndarray, cfg: OptConfig) -> Generator[np.ndarray, tuple, tuple
             s_hist.append(s_new)
             y_hist.append(y_new)
             rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.history:
+            if len(s_hist) > _HISTORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
                 rho_hist.pop(0)
         improvement = f - fn_val
         x, f, g = xn, fn_val, gn
-        if improvement <= cfg.cost_rel_tol * max(abs(f), 1.0):
+        if improvement <= _COST_REL_TOL * max(abs(f), 1.0):
             stall += 1
-            if stall >= cfg.stall_window:
+            if stall >= _STALL_WINDOW:
                 reason = "stall"
                 break
         else:
@@ -231,8 +232,8 @@ def minimize(
 ) -> tuple[np.ndarray, OptReport]:
     """Minimize ``fun`` inside the amplitude box, starting at ``x0``.
 
-    ``fun(x)`` returns the pair ``(cost, gradient)``; pulse_objective()
-    builds it for a pulse problem.
+    ``fun(x)`` returns the pair ``(cost, gradient)``; for a pulse problem
+    that is ``functools.partial(cost_and_gradient, spec, model, ansatz)``.
     """
     machine = _lbfgs(x0, cfg)
     x = next(machine)

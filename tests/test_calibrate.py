@@ -21,8 +21,8 @@ from pulsecal.families import CONTROLS_1Q, GateFamily
 from pulsecal.io import landscape_to_dict
 from pulsecal.linalg import gate_infidelity, su_branch
 from pulsecal.mesh import build_mesh, neighbors
-from pulsecal.optimize import minimize, pulse_objective, seeded_init
-from pulsecal.pulses import ControlAnsatz, CostSpec, evolve, tikhonov_weight
+from pulsecal.optimize import minimize, seeded_init
+from pulsecal.pulses import ControlAnsatz, CostSpec, cost_and_gradient, evolve, tikhonov_weight
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +98,8 @@ def _serial_initial_round(cfg):
         target = family.unitary(point)
         spec = CostSpec(target=target, lam=cfg.lam, alpha0=np.zeros(ansatz.n_params))
         alpha, report = minimize(
-            pulse_objective(spec, family.model, ansatz), seeded_init(ansatz, cfg.seed ^ index),
-            cfg.opt,
+            functools.partial(cost_and_gradient, spec, family.model, ansatz),
+            seeded_init(ansatz, cfg.seed ^ index), cfg.opt,
         )
         infid = gate_infidelity(evolve(family.model, ansatz, alpha), target, family.dim)
         refs.append(pc.ReferencePulse(np.array(point), alpha, infid, report.iterations))
@@ -241,7 +241,8 @@ def _serial_round(land, cfg):
         target = family.unitary(ref.point)
         spec = CostSpec(target=target, lam=land.lam, alpha0=ahat, pin_branch=True)
         x0 = np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max)
-        alpha, report = minimize(pulse_objective(spec, model, ansatz), x0, cfg.opt)
+        objective = functools.partial(cost_and_gradient, spec, model, ansatz)
+        alpha, report = minimize(objective, x0, cfg.opt)
         infid = gate_infidelity(evolve(model, ansatz, alpha), target, family.dim)
         land.references[i] = pc.ReferencePulse(
             ref.point, alpha, infid, ref.cumulative_iterations + report.iterations

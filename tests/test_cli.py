@@ -69,6 +69,24 @@ def test_calibrate_rejects_bad_granularity(tmp_path, capsys):
     assert "granularity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["calibrate", "sweep"])
+def test_non_finite_lambda_is_a_bad_argument(tmp_path, command, lam):
+    args = {
+        "calibrate": ["--granularity", "1/2", "--out", "l.json"],
+        "sweep": ["--granularities", "1/2", "--test-granularity", "1/4", "--csv", "s.csv"],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(pc.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pulsecal.cli", command, "--family", "single-qubit",
+         "--lambda", lam, *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: lambda must be finite and non-negative")
+    assert "Traceback" not in done.stderr
+
+
 def test_unknown_family_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([
@@ -159,6 +177,23 @@ def test_interpolate_landscape_with_non_finite_ansatz(landscape_file, tmp_path, 
     def edit(data):
         data["ansatz"][field] = value
 
+    path = _edited_copy(landscape_file, tmp_path, edit)
+    code = main(["interpolate", "--landscape", str(path), "--point", "0.1,0.1,0.1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "finite" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update({"lambda": float("nan")}),
+        lambda d: d["references"][0].update({"infidelity": float("nan")}),
+        lambda d: d["log"][-1].update({"mean_penalty": float("inf")}),
+    ],
+    ids=["lambda-nan", "infidelity-nan", "mean_penalty-inf"],
+)
+def test_interpolate_landscape_with_non_finite_number(landscape_file, tmp_path, capsys, edit):
     path = _edited_copy(landscape_file, tmp_path, edit)
     code = main(["interpolate", "--landscape", str(path), "--point", "0.1,0.1,0.1"])
     captured = capsys.readouterr()

@@ -159,6 +159,24 @@ def test_sweep_row_layout_and_monotone_cost():
         assert s.count == 27
 
 
+def test_sweep_rows_equal_fresh_calibrations():
+    """Round k of a sweep is what calibrating with k rounds and scoring gives."""
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), seed=7)
+    rows = pc.sweep("single-qubit", [Fraction(1, 2)], max_rounds=2, cfg=cfg,
+                    test_granularity=Fraction(1, 4))
+    assert [(g, r) for g, r, _ in rows] == [(Fraction(1, 2), k) for k in range(3)]
+    for k, (_, _, summary) in enumerate(rows):
+        land = pc.calibrate(dataclasses.replace(cfg, rounds=k))
+        assert summary == pc.evaluate_grid(land, Fraction(1, 4))[1]
+
+
+def test_sweep_rejects_negative_rounds():
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
+    with pytest.raises(ValueError, match="max_rounds"):
+        pc.sweep("single-qubit", [Fraction(1, 1)], max_rounds=-1, cfg=cfg,
+                 test_granularity=Fraction(1, 1))
+
+
 def test_sweep_zero_rounds_gives_single_row_per_granularity():
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
     rows = pc.sweep(

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from pulsecal.optimize import (
     pulse_objective,
     seeded_init,
 )
-from pulsecal.pulses import ControlAnsatz, CostSpec, HamiltonianModel, evolve
+from pulsecal.pulses import ControlAnsatz, CostSpec, HamiltonianModel, cost_and_gradient, evolve
 
 ANSATZ_1Q = ControlAnsatz(n_controls=2)
 MODEL_1Q = HamiltonianModel(controls=CONTROLS_1Q, dim=2)
@@ -56,7 +58,7 @@ def test_quadratic_converges_for_arbitrary_centers(center):
 
 def test_zero_gradient_start_returns_immediately():
     spec = CostSpec(target=np.eye(2), lam=1e-2, alpha0=np.zeros(40))
-    obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
+    obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     x, report = minimize(obj, np.zeros(40), OptConfig())
     assert np.array_equal(x, np.zeros(40))
     assert report.iterations <= 1
@@ -69,7 +71,7 @@ def test_result_never_worse_than_start():
     rng = np.random.default_rng(2)
     target = pc.single_qubit_unitary((0.4, 0.3, 0.2))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
-    obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
+    obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     for seed in range(5):
         x0 = seeded_init(ANSATZ_1Q, seed)
         f0, _ = obj(x0)
@@ -81,7 +83,7 @@ def test_result_never_worse_than_start():
 def test_iterations_respect_cap_and_evaluations_exceed_them():
     target = pc.single_qubit_unitary((1.0, 0.0, 0.0))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
-    obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
+    obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     x, report = minimize(obj, seeded_init(ANSATZ_1Q, 0), OptConfig(max_iter=7))
     assert report.iterations <= 7
     # one evaluation at the start plus at least one per accepted step
@@ -91,7 +93,7 @@ def test_iterations_respect_cap_and_evaluations_exceed_them():
 def test_minimize_is_deterministic():
     target = pc.single_qubit_unitary((0.2, 0.7, 0.1))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
-    obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
+    obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     x0 = seeded_init(ANSATZ_1Q, 12)
     xa, ra = minimize(obj, x0, OptConfig())
     xb, rb = minimize(obj, x0, OptConfig())
@@ -110,8 +112,6 @@ def test_non_finite_start_raises():
 def test_config_validation():
     with pytest.raises(ValueError):
         OptConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        OptConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         OptConfig(alpha_max=-1.0)
 
@@ -184,7 +184,8 @@ def test_lockstep_pulse_problems_equal_minimize_alone():
     batch = pulse_objective(CostSpec(targets, 1e-2, anchors), MODEL_1Q, ANSATZ_1Q)
     results = minimize_lockstep(batch, x0s, cfg)
     for target, x0, (x, report) in zip(targets, x0s, results):
-        obj = pulse_objective(CostSpec(target, 1e-2, np.zeros(40)), MODEL_1Q, ANSATZ_1Q)
+        spec = CostSpec(target, 1e-2, np.zeros(40))
+        obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
         x_alone, report_alone = minimize(obj, x0, cfg)
         assert x.tobytes() == x_alone.tobytes()
         assert report == report_alone
@@ -251,7 +252,7 @@ def test_hard_x_rotation_solved_from_most_seeds():
     fam = pc.get_family("single-qubit")
     target = fam.unitary((1.0, 0.0, 0.0))
     spec = CostSpec(target=target, lam=0.0, alpha0=np.zeros(40))
-    obj = pulse_objective(spec, MODEL_1Q, ANSATZ_1Q)
+    obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
 
     wins = 0
     for seed in range(10):
