@@ -108,6 +108,8 @@ class CalibConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.n_segments < 1:
+            raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
         # NaN fails both comparisons.
         if not 0 <= self.lam < float("inf"):
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")

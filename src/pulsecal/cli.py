@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -46,9 +47,14 @@ def _point(text: str) -> tuple:
 
 
 def _probe_writable(path: str) -> None:
+    """Fail before a long run if ``path`` cannot be written; leave no file behind."""
     try:
-        with open(path, "a"):
-            pass
+        try:
+            open(path, "x").close()
+        except FileExistsError:
+            open(path, "a").close()
+        else:
+            os.remove(path)
     except OSError as exc:
         raise OSError(f"output path {path!r} is not writable: {exc}") from exc
 
@@ -86,8 +92,8 @@ def _print_log(landscape) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    _probe_writable(args.out)
     cfg = _calib_config(args, _fraction(args.granularity), args.rounds)
+    _probe_writable(args.out)
     landscape = calibrate(cfg)
     _print_log(landscape)
     save_landscape(landscape, args.out)
@@ -150,10 +156,11 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _probe_writable(args.csv)
     grans = [_fraction(g) for g in args.granularities.split(",")]
     cfg = _calib_config(args, grans[0], 0)
-    rows = sweep(args.family, grans, args.max_rounds, cfg, _fraction(args.test_granularity))
+    test_granularity = _fraction(args.test_granularity)
+    _probe_writable(args.csv)
+    rows = sweep(args.family, grans, args.max_rounds, cfg, test_granularity)
     with open(args.csv, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["granularity", "round", "cumulative_iterations",

@@ -23,7 +23,7 @@ overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Generator, Optional
 
 import numpy as np
@@ -93,14 +93,17 @@ def pulse_objective(
     gradients, in kernel calls of at most _BLOCK problems.
     """
 
+    def block(alpha: np.ndarray, rows: np.ndarray) -> tuple:
+        spec_block = CostSpec(spec.target[rows], spec.lam, spec.alpha0[rows], spec.pin_branch)
+        return cost_and_gradient(spec_block, model, ansatz, alpha)
+
     def fn(alpha: np.ndarray, rows: np.ndarray) -> tuple:
-        costs, grads = [], []
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start : start + _BLOCK]
-            spec_block = replace(spec, target=spec.target[block], alpha0=spec.alpha0[block])
-            cost, grad = cost_and_gradient(spec_block, model, ansatz, alpha[start : start + _BLOCK])
-            costs.append(cost)
-            grads.append(grad)
+        if len(rows) <= _BLOCK:
+            return block(alpha, rows)
+        costs, grads = zip(*(
+            block(alpha[start : start + _BLOCK], rows[start : start + _BLOCK])
+            for start in range(0, len(rows), _BLOCK)
+        ))
         return np.concatenate(costs), np.concatenate(grads)
 
     return fn

@@ -38,11 +38,35 @@ chain rule over segments reuses the forward/backward partial products.
 ``evolve`` and ``cost_and_gradient`` take one pulse or a batch of
 pulses with a leading axis; every row of a batch gets the bits that
 pulse gets alone.
+
+The gradient's four contractions (K_mid = F V^dag B, R = Q^dag K_mid Q,
+W_k = Q^dag B_k Q and their trace against phi) run on contiguous
+(i, j, p, s) copies of the stacks: matrix row, matrix column, problem,
+segment. Every einsum's innermost loop then runs over all p * s
+segments of the batch, not over a matrix index of length dim. W_k runs
+over each control row's nonzero entries only
+(``HamiltonianModel.row_support``); the controls of every family have
+one per row.
+
+The bits are part of the contract. The chamber's calibration amplifies
+last-bit changes in the gradient, so each operation happens in a pinned
+order, and the order is written out, since einsum picks its summation
+order from its operands' strides:
+
+* K_mid sums over j from zero for each k, then adds the k-partials in
+  ascending k;
+* R, W_k and the trace each sum over (a, b) in one flat sum, a outer and
+  b inner, each term formed as (x * y) * z by einsum's scalar complex
+  product (numpy's elementwise complex multiply rounds differently);
+* the zeros that pad a control row to the widest row's length add
+  nothing: such a sum starts at +0 and, rounding to nearest, never
+  becomes -0, so a +-0 term leaves it unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +108,25 @@ class HamiltonianModel:
     @property
     def n_controls(self) -> int:
         return self.controls.shape[0]
+
+    @cached_property
+    def row_support(self) -> tuple:
+        """Nonzero entries of each control row: columns and values.
+
+        Two (n_f, dim, width) arrays: row a of control k holds the value
+        ``vals[k, a, t]`` in column ``cols[k, a, t]``, columns ascending.
+        Rows with fewer than ``width`` nonzeros (the widest row's count)
+        are padded with value 0 in column 0, which adds exact zeros.
+        """
+        controls = np.asarray(self.controls, dtype=complex)
+        nonzero = controls != 0
+        width = max(int(nonzero.sum(axis=-1).max()), 1)
+        # A stable sort puts each row's nonzero columns first, ascending.
+        order = np.argsort(~nonzero, axis=-1, kind="stable")[..., :width]
+        keep = np.take_along_axis(nonzero, order, axis=-1)
+        cols = np.where(keep, order, 0)
+        vals = np.where(keep, np.take_along_axis(controls, order, axis=-1), 0)
+        return cols, vals
 
 
 def tikhonov_weight(lam: float, ansatz: ControlAnsatz) -> float:
@@ -169,6 +212,11 @@ def evolve(model: HamiltonianModel, ansatz: ControlAnsatz, alpha: np.ndarray) ->
     return u
 
 
+def _matrix_axes_first(a: np.ndarray) -> np.ndarray:
+    """(p, s, i, j) stack as a contiguous (i, j, p, s) copy."""
+    return np.ascontiguousarray(a.transpose(2, 3, 0, 1))
+
+
 def cost_and_gradient(
     spec: CostSpec, model: HamiltonianModel, ansatz: ControlAnsatz, alpha: np.ndarray
 ) -> tuple:
@@ -224,11 +272,26 @@ def cost_and_gradient(
     delta = w[..., :, None] - w[..., None, :]
     phi = (-1j * dt) * np.exp(-1j * dt * mu) * np.sinc(dt * delta / (2 * np.pi))
 
-    k_mid = np.einsum("psij,pjk,pskl->psil", fwd[:, :ns], vh, bwd[:, 1:])
-    r = np.einsum("psai,psab,psbj->psij", q.conj(), k_mid, q)
-    w_ctrl = np.einsum("psai,kab,psbj->pksij", q.conj(), model.controls, q)
+    # (i, j, p, s) copies, so each contraction's inner loop runs over p*s.
+    q_t = _matrix_axes_first(q)
+    qc_t = q_t.conj()
+    vh_t = np.ascontiguousarray(vh.transpose(1, 2, 0))  # (j, k, p)
+
+    # The summation orders are pinned (see the module header): K_mid sums
+    # over j for each k, then adds the k-partials in ascending k.
+    parts = np.einsum(
+        "ijps,jkp,klps->kilps",
+        _matrix_axes_first(fwd[:, :ns]), vh_t, _matrix_axes_first(bwd[:, 1:]),
+    )
+    k_mid = parts[0]
+    for part in parts[1:]:
+        k_mid += part
+    r = np.einsum("aips,abps,bjps->ijps", qc_t, k_mid, q_t)
+    cols, vals = model.row_support
+    w_ctrl = np.einsum("aips,kat,katjps->kijps", qc_t, vals, q_t[cols])
     # t_all[p, k, s] is the derivative of Tr(V^dag U_T) by alpha[p, k, s].
-    t_all = np.einsum("psba,psab,pksab->pks", r, phi, w_ctrl)
+    t_all = np.einsum("baps,abps,kabps->kps", r, _matrix_axes_first(phi), w_ctrl)
+    t_all = np.ascontiguousarray(t_all.transpose(1, 0, 2))  # (p, k, s)
     if spec.pin_branch:
         grad_infid = (-2.0 / dim) * np.real(t_all)
     else:

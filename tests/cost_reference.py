@@ -1,15 +1,27 @@
-"""The pulse cost from one ``evolve``: a path independent of the kernel.
+"""Reference paths for the pulse kernel's cost and gradient.
 
-``cost_and_gradient`` computes the cost from its own forward products;
-this reference recomputes it from the propagator ``evolve`` returns, with
-the formulas of the ``pulses`` module header, so tests can check the
-kernel's cost bit for bit and its gradient by finite differences.
+``cost`` recomputes the cost from the propagator ``evolve`` returns, with
+the formulas of the ``pulses`` module header: a path independent of the
+kernel, so tests can check the kernel's cost bit for bit and its gradient
+by finite differences.
+
+``cost_and_gradient_reference`` is the kernel as first written: the same
+products, with its contractions as 3-operand einsums over (p, s, i, j)
+stacks (problem, segment, matrix row, matrix column) and ``w_ctrl`` over
+every entry of the controls. Its summation orders are the ones the
+kernel pins, so the kernel must equal it bit for bit.
 """
 
 import numpy as np
 
 from pulsecal.linalg import overlap_infidelity
-from pulsecal.pulses import evolve, tikhonov_weight
+from pulsecal.pulses import (
+    _as_pulses,
+    _infidelity_term,
+    _segment_unitaries,
+    evolve,
+    tikhonov_weight,
+)
 
 
 def cost(spec, model, ansatz, alpha) -> float:
@@ -22,3 +34,64 @@ def cost(spec, model, ansatz, alpha) -> float:
         infidelity = overlap_infidelity(overlap, model.dim)
     dev = alpha - np.asarray(spec.alpha0, dtype=float)
     return infidelity + tikhonov_weight(spec.lam, ansatz) * float(dev @ dev)
+
+
+def cost_and_gradient_reference(spec, model, ansatz, alpha):
+    """cost_and_gradient with (p, s, i, j) einsums over dense controls."""
+    alpha = _as_pulses(ansatz, alpha)
+    nf, ns, dim, dt = ansatz.n_controls, ansatz.n_segments, model.dim, ansatz.dt
+    target = np.asarray(spec.target)
+    if target.shape != alpha.shape[:-1] + (dim, dim):
+        raise ValueError(
+            f"target has shape {target.shape}, expected {alpha.shape[:-1] + (dim, dim)}"
+        )
+    single = alpha.ndim == 1
+    alpha = alpha.reshape(-1, ansatz.n_params)
+    n_b = len(alpha)
+    w, q, useg = _segment_unitaries(model, ansatz, alpha.reshape(n_b, nf, ns))
+
+    # Forward products F[s] = U_s...U_1 (F[0] = I) and backward products
+    # B[s] = U_{n_p}...U_{s+1} (B[n_p] = I), written in place.
+    fwd = np.empty((n_b, ns + 1, dim, dim), dtype=complex)
+    bwd = np.empty((n_b, ns + 1, dim, dim), dtype=complex)
+    fwd[:, 0] = np.eye(dim)
+    bwd[:, ns] = np.eye(dim)
+    u_s = [useg[:, s] for s in range(ns)]
+    f_s = [fwd[:, s] for s in range(ns + 1)]
+    b_s = [bwd[:, s] for s in range(ns + 1)]
+    for s in range(ns):
+        np.matmul(u_s[s], f_s[s], out=f_s[s + 1])
+    for s in range(ns - 1, -1, -1):
+        np.matmul(b_s[s + 1], u_s[s], out=b_s[s])
+
+    vh = target.reshape(n_b, dim, dim).conj().swapaxes(-1, -2)
+    overlaps = np.trace(vh @ f_s[ns], axis1=-2, axis2=-1)
+    lam_tilde = tikhonov_weight(spec.lam, ansatz)
+    dev = alpha - np.asarray(spec.alpha0, dtype=float)
+    j = [
+        _infidelity_term(tr, dim, spec.pin_branch) + lam_tilde * float(d @ d)
+        for tr, d in zip(overlaps, dev)
+    ]
+
+    # Derivative of each segment exponential in its eigenbasis: the
+    # divided difference of exp(-i*dt*x) between eigenvalue pairs,
+    # written with sinc so coincident eigenvalues need no special case.
+    mu = 0.5 * (w[..., :, None] + w[..., None, :])
+    delta = w[..., :, None] - w[..., None, :]
+    phi = (-1j * dt) * np.exp(-1j * dt * mu) * np.sinc(dt * delta / (2 * np.pi))
+
+    k_mid = np.einsum("psij,pjk,pskl->psil", fwd[:, :ns], vh, bwd[:, 1:])
+    r = np.einsum("psai,psab,psbj->psij", q.conj(), k_mid, q)
+    w_ctrl = np.einsum("psai,kab,psbj->pksij", q.conj(), model.controls, q)
+    # t_all[p, k, s] is the derivative of Tr(V^dag U_T) by alpha[p, k, s].
+    t_all = np.einsum("psba,psab,pksab->pks", r, phi, w_ctrl)
+    if spec.pin_branch:
+        grad_infid = (-2.0 / dim) * np.real(t_all)
+    else:
+        grad_infid = (-2.0 / dim**2) * np.real(np.conj(overlaps)[:, None, None] * t_all)
+
+    grad = grad_infid.reshape(n_b, -1) + 2.0 * lam_tilde * dev
+    if single:
+        return j[0], grad[0]
+    return np.array(j), grad
+

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pulsecal as pc
-from pulsecal.cli import main
+from pulsecal.cli import _probe_writable, main
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,49 @@ def test_unknown_family_is_an_argparse_error(tmp_path):
             "--out", str(tmp_path / "x.json"),
         ])
     assert exc.value.code == 2
+
+
+_CALIBRATE = ["calibrate", "--family", "single-qubit", "--granularity", "1/2", "--out"]
+_SWEEP = ["sweep", "--family", "single-qubit", "--granularities", "1/2",
+          "--test-granularity", "1/4", "--csv"]
+
+
+@pytest.mark.parametrize("command, bad", [
+    (_CALIBRATE, ["--segments", "0"]),
+    (_CALIBRATE, ["--max-iter", "0"]),
+    (_CALIBRATE, ["--lambda", "-1"]),
+    (_CALIBRATE, ["--rounds", "-1"]),
+    (_CALIBRATE, ["--granularity", "0"]),
+    (_SWEEP, ["--segments", "0"]),
+    (_SWEEP, ["--max-iter", "0"]),
+    (_SWEEP, ["--lambda", "-1"]),
+    (_SWEEP, ["--max-rounds", "-1"]),
+    (_SWEEP, ["--granularities", "1/2,0"]),
+    (_SWEEP, ["--test-granularity", "x"]),
+], ids=lambda v: v[0])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_bad_argument_leaves_the_output_path_as_it_was(tmp_path, capsys, command, bad, existing):
+    out = tmp_path / "out"
+    if existing:
+        out.write_bytes(b"earlier output\n")
+    # A repeated flag overrides the good value given before it.
+    code = main([*command, str(out), *bad])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    if existing:
+        assert out.read_bytes() == b"earlier output\n"
+    else:
+        assert not out.exists()
+
+
+def test_write_probe_leaves_no_file_and_keeps_an_existing_one(tmp_path):
+    fresh = tmp_path / "fresh"
+    _probe_writable(str(fresh))
+    assert not fresh.exists()
+    kept = tmp_path / "kept"
+    kept.write_bytes(b"\x00keep\n")
+    _probe_writable(str(kept))
+    assert kept.read_bytes() == b"\x00keep\n"
 
 
 # -- evaluate -----------------------------------------------------------------

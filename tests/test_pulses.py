@@ -18,7 +18,7 @@ from pulsecal.pulses import (
     tikhonov_weight,
 )
 
-from cost_reference import cost
+from cost_reference import cost, cost_and_gradient_reference
 
 ANSATZ_1Q = ControlAnsatz(n_controls=2)
 ANSATZ_2Q = ControlAnsatz(n_controls=5)
@@ -300,6 +300,107 @@ def test_batched_cost_and_gradient_equal_single_calls_bit_for_bit(family, pin, n
         j, g = cost_and_gradient(one, family.model, ansatz, alphas[b])
         assert isinstance(j, float) and g.shape == (ansatz.n_params,)
         assert costs[b] == j and grads[b].tobytes() == g.tobytes()
+
+
+def _random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+def _random_unitaries(rng, n, dim):
+    a = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    return np.linalg.qr(a)[0]
+
+
+def _dense_controls():
+    rng = np.random.default_rng(5)
+    return np.stack([_random_hermitian(rng, 4) for _ in range(3)])
+
+
+def _mixed_controls():
+    """Rows of 0 to 4 nonzeros: row 2 of the second control is all zero."""
+    rng = np.random.default_rng(6)
+    sparse = _random_hermitian(rng, 4)
+    sparse[2, :] = sparse[:, 2] = 0
+    sparse[0, 3] = sparse[3, 0] = 0
+    return np.stack([np.kron(pc.linalg.SX, pc.linalg.SZ), sparse, _random_hermitian(rng, 4)])
+
+
+HAND_BUILT_MODELS = {
+    "dense": HamiltonianModel(controls=_dense_controls(), dim=4),
+    "mixed": HamiltonianModel(controls=_mixed_controls(), dim=4),
+}
+
+
+def _assert_kernel_equals_reference(spec, model, ansatz, alphas):
+    costs, grads = cost_and_gradient(spec, model, ansatz, alphas)
+    ref_costs, ref_grads = cost_and_gradient_reference(spec, model, ansatz, alphas)
+    assert np.asarray(costs).tobytes() == np.asarray(ref_costs).tobytes()
+    assert grads.tobytes() == ref_grads.tobytes()
+
+
+@pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
+@pytest.mark.parametrize("pin", [False, True])
+@pytest.mark.parametrize("n_batch", [1, 7, 43])
+def test_cost_and_gradient_equal_the_reference_kernel_bit_for_bit(family, pin, n_batch):
+    rng = np.random.default_rng(100 + n_batch + 10 * pin)
+    ansatz = ControlAnsatz(n_controls=family.n_controls)
+    targets = family.target(_family_points(family, rng, n_batch))
+    anchors = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
+    alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
+    alphas[0, ::3] = 1.0
+    alphas[-1, 1::4] = -1.0
+    if n_batch > 2:
+        alphas[1] = np.where(alphas[1] > 0, 1.0, -1.0)
+    spec = CostSpec(target=targets, lam=1e-2, alpha0=anchors, pin_branch=pin)
+    _assert_kernel_equals_reference(spec, family.model, ansatz, alphas)
+    one = CostSpec(target=targets[0], lam=1e-2, alpha0=anchors[0], pin_branch=pin)
+    _assert_kernel_equals_reference(one, family.model, ansatz, alphas[0])
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT_MODELS))
+@pytest.mark.parametrize("pin", [False, True])
+@pytest.mark.parametrize("n_batch", [1, 3, 8])
+def test_cost_and_gradient_on_hand_built_controls_equal_the_reference(name, pin, n_batch):
+    model = HAND_BUILT_MODELS[name]
+    rng = np.random.default_rng(200 + n_batch + 10 * pin)
+    ansatz = ControlAnsatz(n_controls=model.n_controls, n_segments=7)
+    alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
+    alphas[0, ::2] = -1.0
+    spec = CostSpec(
+        target=_random_unitaries(rng, n_batch, 4), lam=1e-2,
+        alpha0=rng.uniform(-1, 1, (n_batch, ansatz.n_params)), pin_branch=pin,
+    )
+    _assert_kernel_equals_reference(spec, model, ansatz, alphas)
+
+
+@pytest.mark.parametrize(
+    "model, width",
+    [(family.model, 1) for family in pc.FAMILIES.values()]
+    + [(HAND_BUILT_MODELS["dense"], 4), (HAND_BUILT_MODELS["mixed"], 4)],
+    ids=[*pc.FAMILIES, "dense", "mixed"],
+)
+def test_row_support_scatters_back_to_the_controls(model, width):
+    cols, vals = model.row_support
+    n_f, dim = model.n_controls, model.dim
+    assert cols.shape == vals.shape == (n_f, dim, width)
+    scattered = np.zeros((n_f, dim, dim), dtype=complex)
+    for k, a, t in np.ndindex(cols.shape):
+        if vals[k, a, t] != 0:
+            assert scattered[k, a, cols[k, a, t]] == 0
+            scattered[k, a, cols[k, a, t]] = vals[k, a, t]
+        else:
+            assert cols[k, a, t] == 0
+    controls = np.asarray(model.controls, dtype=complex)
+    # Equal as values (a control's -0 entries come back as +0), and the
+    # nonzero entries bit for bit.
+    assert np.array_equal(scattered, controls)
+    assert scattered[controls != 0].tobytes() == controls[controls != 0].tobytes()
+    for k, a in np.ndindex(n_f, dim):
+        nonzero = cols[k, a][vals[k, a] != 0]
+        assert np.all(np.diff(nonzero) > 0)
+        # Padding only follows the row's nonzero entries.
+        assert np.all(vals[k, a, len(nonzero):] == 0)
 
 
 def test_cost_and_gradient_reject_targets_that_do_not_match_the_batch():
