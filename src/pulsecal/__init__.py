@@ -38,7 +38,7 @@ from .families import (
     single_qubit_unitary,
 )
 from .io import load_landscape, save_landscape
-from .linalg import expm_hermitian, gate_infidelity, is_unitary
+from .linalg import expm_hermitian, gate_infidelity
 from .mesh import (
     BarycentricLocation,
     SimplicialMesh,
@@ -102,7 +102,6 @@ __all__ = [
     "initial_round",
     "interpolate",
     "interpolate_many",
-    "is_unitary",
     "load_landscape",
     "locate",
     "minimize",

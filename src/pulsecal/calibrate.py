@@ -6,11 +6,12 @@ re-optimization rounds that pull each pulse toward the average of its
 mesh neighbors, and keep the per-round log that the evaluation tooling
 reports.
 
-The initial round's problems do not depend on each other, so they run
-as one lockstep batch (``minimize_lockstep``): every tick evaluates all
-unfinished problems in batched kernel calls, and each reference gets the
-pulse, iterations and stored infidelity that minimizing it alone gives,
-bit for bit. The stored infidelities come from one batched ``evolve``.
+Every batch of reference problems goes through one step, ``_solve``: a
+lockstep batch (``minimize_lockstep``) in the ansatz's amplitude box,
+whose every tick evaluates all unfinished problems in batched kernel
+calls, so each reference gets the pulse, iterations and stored
+infidelity that minimizing it alone gives, bit for bit. The initial
+round's problems do not depend on each other, so they are one batch.
 
 Re-optimization round semantics (order matters, so they are pinned here):
 the neighbor penalties are snapshotted once at the start of the round and
@@ -24,10 +25,9 @@ A visit reads only its mesh neighbors' pulses, so the round runs the
 visit order in waves: a vertex goes in the wave after the latest one that
 holds a neighbor visited before it. No wave holds two neighbors, and a
 neighbor visited later always sits in a later wave, so every visit reads
-the pulses it reads when the visits run one at a time. Each wave runs as
-one lockstep batch, with its stored infidelities from one batched
-``evolve``, and every reference gets the pulse, iterations and stored
-infidelity of the one-at-a-time visit, bit for bit. Colouring the mesh
+the pulses it reads when the visits run one at a time. Each wave is one
+batch of ``_solve``, so every reference gets the pulse, iterations and
+stored infidelity of the one-at-a-time visit, bit for bit. Colouring the mesh
 instead would batch more, but it changes the visit order and so the
 results. Every round runs on the calling thread, in a fixed order, so a
 seed fixes the landscape bit for bit.
@@ -115,20 +115,6 @@ class CalibConfig:
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
 
 
-def _ansatz_for(family: GateFamily, cfg: CalibConfig) -> ControlAnsatz:
-    return ControlAnsatz(
-        n_controls=family.n_controls,
-        n_segments=cfg.n_segments,
-        alpha_max=cfg.opt.alpha_max,
-    )
-
-
-def _failure(stage: str, point, exc: OptimizationError) -> OptimizationError:
-    """The optimizer's error, naming the stage and the reference point."""
-    where = tuple(float(c) for c in point)
-    return OptimizationError(f"{stage} failed at reference point {where}: {exc}")
-
-
 def neighbor_average(landscape: Landscape, i: int) -> np.ndarray:
     """Entrywise mean of the mesh neighbors' current pulses (the target α̂_i)."""
     nbrs = sorted(neighbors(landscape.mesh, i))
@@ -162,6 +148,31 @@ def _round_record(landscape: Landscape, round_index: int, iterations: int) -> Ro
     )
 
 
+def _solve(stage: str, family: GateFamily, ansatz: ControlAnsatz, lam: float, opt: OptConfig,
+           points, anchors: np.ndarray, x0s, pin_branch: bool) -> list:
+    """Minimize the pulse problems of a batch of reference points in lockstep.
+
+    Point k's problem is anchored at ``anchors[k]`` and starts at
+    ``x0s[k]``. Returns one ``(pulse, OptReport, gate infidelity)`` per
+    point, each what minimizing it alone gives. A failure raises an
+    OptimizationError that names the ``stage`` and the point.
+    """
+    model = family.model
+    targets = np.stack([family.unitary(point) for point in points])
+    spec = CostSpec(target=targets, lam=lam, alpha0=anchors, pin_branch=pin_branch)
+    try:
+        results = minimize_lockstep(
+            pulse_objective(spec, model, ansatz), x0s, ansatz.alpha_max, opt
+        )
+    except OptimizationError as exc:
+        where = tuple(float(c) for c in points[exc.problem])
+        raise OptimizationError(f"{stage} failed at reference point {where}: {exc}") from exc
+    alphas = np.array([alpha for alpha, _ in results])
+    # The stored infidelity is the gate infidelity, whatever the cost form.
+    infids = gate_infidelities(evolve(model, ansatz, alphas), targets, model.dim)
+    return [(alpha, report, infid) for (alpha, report), infid in zip(results, infids)]
+
+
 def initial_round(cfg: CalibConfig) -> Landscape:
     """Optimize every grid reference independently and mesh the points.
 
@@ -169,18 +180,12 @@ def initial_round(cfg: CalibConfig) -> Landscape:
     pulse and report that minimize() gives it alone.
     """
     family = get_family(cfg.family)
-    model = family.model
     points = family.grid(cfg.granularity)
-    ansatz = _ansatz_for(family, cfg)
-    targets = np.stack([family.unitary(point) for point in points])
-    spec = CostSpec(target=targets, lam=cfg.lam, alpha0=np.zeros((len(points), ansatz.n_params)))
+    ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=cfg.n_segments)
     x0s = [seeded_init(ansatz, cfg.seed ^ index) for index in range(len(points))]
-    try:
-        results = minimize_lockstep(pulse_objective(spec, model, ansatz), x0s, cfg.opt)
-    except OptimizationError as exc:
-        raise _failure("initial optimization", points[exc.problem], exc) from exc
-    alphas = np.array([alpha for alpha, _ in results])
-    infids = gate_infidelities(evolve(model, ansatz, alphas), targets, model.dim)
+    solved = _solve("initial optimization", family, ansatz, cfg.lam, cfg.opt, points,
+                    anchors=np.zeros((len(points), ansatz.n_params)), x0s=x0s,
+                    pin_branch=False)
     refs = [
         ReferencePulse(
             point=np.array(point, dtype=float),
@@ -188,7 +193,7 @@ def initial_round(cfg: CalibConfig) -> Landscape:
             infidelity=infid,
             cumulative_iterations=report.iterations,
         )
-        for point, (alpha, report), infid in zip(points, results, infids)
+        for point, (alpha, report, infid) in zip(points, solved)
     ]
 
     landscape = Landscape(
@@ -229,26 +234,15 @@ def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
     lockstep batch whose problems are numbered in visit order; every
     reference gets the pulse and report that visiting it alone gives.
     """
-    family = landscape.family
-    model = family.model
-    ansatz = landscape.ansatz
     refs = landscape.references
-
     snapshot = [neighbor_penalty(landscape, i) for i in range(len(refs))]
     iterations = 0
     for wave in _waves(landscape.mesh, visit_order(snapshot)):
         ahats = np.stack([neighbor_average(landscape, i) for i in wave])
-        targets = np.stack([family.unitary(refs[i].point) for i in wave])
-        spec = CostSpec(target=targets, lam=landscape.lam, alpha0=ahats, pin_branch=True)
-        x0s = np.clip(ahats, -ansatz.alpha_max, ansatz.alpha_max)
-        try:
-            results = minimize_lockstep(pulse_objective(spec, model, ansatz), x0s, cfg.opt)
-        except OptimizationError as exc:
-            raise _failure("re-optimization", refs[wave[exc.problem]].point, exc) from exc
-        alphas = np.array([alpha for alpha, _ in results])
-        # The stored infidelity is the gate infidelity, whatever the cost form.
-        infids = gate_infidelities(evolve(model, ansatz, alphas), targets, model.dim)
-        for i, (alpha, report), infid in zip(wave, results, infids):
+        solved = _solve("re-optimization", landscape.family, landscape.ansatz, landscape.lam,
+                        cfg.opt, [refs[i].point for i in wave],
+                        anchors=ahats, x0s=ahats, pin_branch=True)
+        for i, (alpha, report, infid) in zip(wave, solved):
             refs[i] = ReferencePulse(
                 point=refs[i].point,
                 alpha=alpha,

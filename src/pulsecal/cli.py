@@ -43,7 +43,10 @@ def _point(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"point must have 3 comma-separated components, got {text!r}")
-    return tuple(float(Fraction(p)) for p in parts)
+    try:
+        return tuple(float(Fraction(p)) for p in parts)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"invalid point {text!r}: {exc}") from None
 
 
 def _probe_writable(path: str) -> None:

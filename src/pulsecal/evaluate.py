@@ -139,10 +139,9 @@ def sweep(
     for g in granularities:
         run_cfg = replace(cfg, family=family, granularity=Fraction(g), rounds=0)
         landscape = initial_round(run_cfg)
-        _, summary = evaluate_grid(landscape, test_granularity)
-        rows.append((Fraction(g), 0, summary))
-        for rnd in range(1, max_rounds + 1):
-            reoptimization_round(landscape, run_cfg)
+        for rnd in range(max_rounds + 1):
+            if rnd:
+                reoptimization_round(landscape, run_cfg)
             _, summary = evaluate_grid(landscape, test_granularity)
             rows.append((Fraction(g), rnd, summary))
     return rows

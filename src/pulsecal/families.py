@@ -10,9 +10,11 @@ target unitary. Three families are provided:
 * ``cartan-box``: the same map on the full cube [0,1]^3.
 * ``single-qubit``: exp(-i*(pi/2)*(tx sx + ty sy + tz sz)) on [0,1]^3.
 
-Grids are selected with exact integer arithmetic on the lattice
-numerators, so that point counts and membership tests do not depend on
-floating-point rounding.
+Each family states its domain once, as ``contains``, which takes one
+point or a batch. A grid is the lattice points a / n that ``contains``
+accepts. A lattice point outside a domain lies at least 1/n outside it,
+far beyond the membership slack and the one rounding of a / n, so point
+counts do not depend on floating-point rounding.
 """
 
 from __future__ import annotations
@@ -71,37 +73,26 @@ def single_qubit_unitary(t) -> np.ndarray:
 _DOMAIN_TOL = 1e-9
 
 
-def _in_box(t) -> bool:
-    return all(-_DOMAIN_TOL <= c <= 1 + _DOMAIN_TOL for c in t)
+# Membership of one point (3,) or, row by row, of a batch (B, 3). The
+# chamber is the part of the cube below the faces ty = min(tx, 1 - tx)
+# and tz = ty.
+def _in_box(t):
+    t = np.asarray(t, dtype=float)
+    return ((-_DOMAIN_TOL <= t) & (t <= 1 + _DOMAIN_TOL)).all(axis=-1)
 
 
-def _in_chamber(t) -> bool:
-    tx, ty, tz = t
-    return (
-        -_DOMAIN_TOL <= tx <= 1 + _DOMAIN_TOL
-        and -_DOMAIN_TOL <= ty <= min(tx, 1 - tx) + _DOMAIN_TOL
-        and -_DOMAIN_TOL <= tz <= ty + _DOMAIN_TOL
-    )
-
-
-# Exact membership of lattice points (a, b, c) / n, from the integer
-# numerators 0 <= a, b, c <= n; k is (N, 3).
-def _box_lattice(k, n):
-    return np.ones(len(k), dtype=bool)
-
-
-def _chamber_lattice(k, n):
-    a, b, c = k.T
-    return (b <= np.minimum(a, n - a)) & (c <= b)
+def _in_chamber(t):
+    tx, ty, tz = np.asarray(t, dtype=float).T
+    return _in_box(t) & (ty <= np.minimum(tx, 1 - tx) + _DOMAIN_TOL) & (tz <= ty + _DOMAIN_TOL)
 
 
 @dataclass(frozen=True)
 class GateFamily:
     """Descriptor bundling a family's name, dimension, domain and target map.
 
-    ``target`` maps one point (3,) to its unitary and, for evaluate_grid,
-    a batch (B, 3) to the stack (B, dim, dim). ``lattice`` is the
-    domain's exact membership test on lattice numerators (see ``grid``).
+    ``contains`` and ``target`` each take one point (3,) or a batch
+    (B, 3): ``contains`` gives the point's membership, or each row's, and
+    ``target`` the point's unitary, or the stack (B, dim, dim).
     """
 
     name: str
@@ -111,7 +102,6 @@ class GateFamily:
     controls: np.ndarray = field(repr=False)
     contains: Callable[[tuple], bool] = field(repr=False)
     target: Callable[[tuple], np.ndarray] = field(repr=False)
-    lattice: Callable[[np.ndarray, int], np.ndarray] = field(repr=False)
 
     @property
     def model(self) -> HamiltonianModel:
@@ -137,10 +127,10 @@ class GateFamily:
         if g <= 0 or (1 / g).denominator != 1:
             raise ValueError(f"granularity must evenly divide 1, got {g}")
         n = int(1 / g)
-        k = np.indices((n + 1,) * 3).reshape(3, -1).T
         # Float division of the exact integers rounds a / n once, as
         # float(Fraction(a, n)) does.
-        return k[self.lattice(k, n)] / n
+        points = np.indices((n + 1,) * 3).reshape(3, -1).T / n
+        return points[self.contains(points)]
 
 
 WEYL_CHAMBER = GateFamily(
@@ -151,7 +141,6 @@ WEYL_CHAMBER = GateFamily(
     controls=CONTROLS_2Q,
     contains=_in_chamber,
     target=cartan_unitary,
-    lattice=_chamber_lattice,
 )
 
 CARTAN_BOX = GateFamily(
@@ -162,7 +151,6 @@ CARTAN_BOX = GateFamily(
     controls=CONTROLS_2Q,
     contains=_in_box,
     target=cartan_unitary,
-    lattice=_box_lattice,
 )
 
 SINGLE_QUBIT = GateFamily(
@@ -173,7 +161,6 @@ SINGLE_QUBIT = GateFamily(
     controls=CONTROLS_1Q,
     contains=_in_box,
     target=single_qubit_unitary,
-    lattice=_box_lattice,
 )
 
 FAMILIES = {f.name: f for f in (WEYL_CHAMBER, CARTAN_BOX, SINGLE_QUBIT)}

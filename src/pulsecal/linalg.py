@@ -26,26 +26,18 @@ def expm_hermitian(h: np.ndarray) -> np.ndarray:
     return (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
-    n = u.shape[0]
-    return bool(np.max(np.abs(u.conj().T @ u - np.eye(n))) < tol)
-
-
 def gate_infidelity(u: np.ndarray, v: np.ndarray, dim: int) -> float:
     """1 - |Tr(v^dag u)|^2 / dim^2, insensitive to global phase.
 
     Zero iff u and v agree up to a phase; at most 1 for unitaries.
-    Clipped into [0, 1] to absorb rounding at the endpoints.
+    Clipped into [0, 1] to absorb rounding at the endpoints. The batch
+    of one of gate_infidelities.
     """
-    return overlap_infidelity(np.trace(v.conj().T @ u), dim)
+    return gate_infidelities(u[None], v[None], dim)[0]
 
 
 def gate_infidelities(u: np.ndarray, v: np.ndarray, dim: int) -> list:
-    """gate_infidelity of each pair of the stacks u and v, (B, dim, dim) each.
-
-    Each value is bit for bit what gate_infidelity gives for that pair
-    alone.
-    """
+    """gate_infidelity of each pair of the stacks u and v, (B, dim, dim) each."""
     overlaps = np.trace(v.conj().swapaxes(-1, -2) @ u, axis1=-2, axis2=-1)
     return [overlap_infidelity(tr, dim) for tr in overlaps]
 
@@ -59,15 +51,3 @@ def overlap_infidelity(tr: complex, dim: int) -> float:
     pass their overlaps one at a time.
     """
     return float(np.clip(1.0 - (tr.real**2 + tr.imag**2) / dim**2, 0.0, 1.0))
-
-
-def su_branch(u: np.ndarray, v: np.ndarray, dim: int) -> int:
-    """Branch k of u relative to v, for u and v in SU(dim).
-
-    The dim unitaries c * v with c^dim = 1 all lie in SU(dim) and all
-    have gate infidelity 0 against v. Returns the k in 0..dim-1 for which
-    exp(2*pi*i*k/dim) is the root nearest to Tr(v^dag u) / dim; k = 0
-    means u implements v itself.
-    """
-    tr = np.trace(v.conj().T @ u)
-    return int(np.round(np.angle(tr) * dim / (2 * np.pi))) % dim

@@ -1,13 +1,14 @@
 """Bounded local minimization of the pulse cost.
 
 Projected L-BFGS with a backtracking line search, clamped to the box
-[-alpha_max, +alpha_max]. One "iteration" is one accepted step; line
+[-alpha_max, +alpha_max] whose half-width the caller passes: for a pulse
+problem, the ansatz's. One "iteration" is one accepted step; line
 search probes are tallied separately in the report. Given the same
 starting point and configuration the run is bit-reproducible: there is
 no randomness anywhere in the loop.
 
-``OptConfig`` holds the iteration cap and the amplitude bound; the
-stopping tolerances are module constants.
+``OptConfig`` holds the iteration cap; the stopping tolerances are
+module constants.
 
 The L-BFGS body is written once, as an ask/tell machine (``_lbfgs``): a
 generator that yields every point it needs evaluated and is sent back
@@ -48,14 +49,11 @@ _HISTORY = 10  # curvature pairs kept by the two-loop recursion
 
 @dataclass(frozen=True)
 class OptConfig:
-    alpha_max: float = 1.0
     max_iter: int = 50
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.alpha_max <= 0:
-            raise ValueError("alpha_max must be positive")
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,9 @@ def pulse_objective(
     return fn
 
 
-def _lbfgs(x0: np.ndarray, cfg: OptConfig) -> Generator[np.ndarray, tuple, tuple]:
+def _lbfgs(
+    x0: np.ndarray, alpha_max: float, cfg: OptConfig
+) -> Generator[np.ndarray, tuple, tuple]:
     """The optimizer as an ask/tell machine: minimize()'s one L-BFGS body.
 
     A generator that yields each point it needs evaluated and is sent
@@ -117,8 +117,8 @@ def _lbfgs(x0: np.ndarray, cfg: OptConfig) -> Generator[np.ndarray, tuple, tuple
     OptReport)`` through StopIteration. It raises OptimizationError only
     when the initial point is not finite, that is on the first send.
     """
-    lo, hi = -cfg.alpha_max, cfg.alpha_max
-    eps_act = 1e-12 * max(1.0, cfg.alpha_max)
+    lo, hi = -alpha_max, alpha_max
+    eps_act = 1e-12 * max(1.0, alpha_max)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     f, g = yield x
     g = np.asarray(g, dtype=float)
@@ -170,7 +170,7 @@ def _lbfgs(x0: np.ndarray, cfg: OptConfig) -> Generator[np.ndarray, tuple, tuple
             break
 
         if s_hist:
-            t = min(1.0, 2.0 * cfg.alpha_max / d_inf)
+            t = min(1.0, 2.0 * alpha_max / d_inf)
         else:
             t = min(1.0, 1.0 / max(np.linalg.norm(g), 1e-12))
 
@@ -231,14 +231,15 @@ def _lbfgs(x0: np.ndarray, cfg: OptConfig) -> Generator[np.ndarray, tuple, tuple
 def minimize(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     x0: np.ndarray,
+    alpha_max: float,
     cfg: OptConfig,
 ) -> tuple[np.ndarray, OptReport]:
-    """Minimize ``fun`` inside the amplitude box, starting at ``x0``.
+    """Minimize ``fun`` inside the box [-alpha_max, +alpha_max], starting at ``x0``.
 
     ``fun(x)`` returns the pair ``(cost, gradient)``; for a pulse problem
     that is ``functools.partial(cost_and_gradient, spec, model, ansatz)``.
     """
-    machine = _lbfgs(x0, cfg)
+    machine = _lbfgs(x0, alpha_max, cfg)
     x = next(machine)
     while True:
         try:
@@ -247,7 +248,7 @@ def minimize(
             return done.value
 
 
-def minimize_lockstep(fun: Callable[..., tuple], x0s, cfg: OptConfig) -> list:
+def minimize_lockstep(fun: Callable[..., tuple], x0s, alpha_max: float, cfg: OptConfig) -> list:
     """minimize() for many problems, evaluated in lockstep batches.
 
     ``fun(xs, rows)`` evaluates the problems numbered ``rows`` (ascending)
@@ -260,7 +261,7 @@ def minimize_lockstep(fun: Callable[..., tuple], x0s, cfg: OptConfig) -> list:
     A non-finite start raises the OptimizationError of the lowest
     numbered failing problem, with ``problem`` set to its number.
     """
-    machines = [_lbfgs(x0, cfg) for x0 in x0s]
+    machines = [_lbfgs(x0, alpha_max, cfg) for x0 in x0s]
     pending = {i: next(m) for i, m in enumerate(machines)}
     results = [None] * len(machines)
     while pending:

@@ -28,7 +28,7 @@ import pytest
 
 import pulsecal as pc
 from pulsecal.families import FAMILIES
-from pulsecal.linalg import gate_infidelity, su_branch
+from pulsecal.linalg import gate_infidelity
 from pulsecal.mesh import build_mesh, locate
 from pulsecal.pulses import (
     ControlAnsatz,
@@ -40,6 +40,7 @@ from pulsecal.pulses import (
 )
 
 from cost_reference import cost
+from gate_checks import su_branch
 
 MIDPOINT = (0.5, 0.125, 0.125)  # midway between references (1/2,0,0) and (1/2,1/4,1/4)
 

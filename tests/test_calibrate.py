@@ -18,11 +18,13 @@ from pulsecal.errors import OptimizationError
 # the module itself through importlib for monkeypatching.
 calibrate_mod = importlib.import_module("pulsecal.calibrate")
 from pulsecal.families import CONTROLS_1Q, GateFamily
-from pulsecal.io import landscape_to_dict
-from pulsecal.linalg import gate_infidelity, su_branch
+from pulsecal.io import landscape_from_dict, landscape_to_dict
+from pulsecal.linalg import gate_infidelity
 from pulsecal.mesh import build_mesh, neighbors
 from pulsecal.optimize import minimize, seeded_init
 from pulsecal.pulses import ControlAnsatz, CostSpec, cost_and_gradient, evolve, tikhonov_weight
+
+from gate_checks import su_branch
 
 
 @pytest.fixture(scope="module")
@@ -89,9 +91,7 @@ def _serial_initial_round(cfg):
     infidelity and iterations come from that problem alone.
     """
     family = pc.get_family(cfg.family)
-    ansatz = ControlAnsatz(
-        n_controls=family.n_controls, n_segments=cfg.n_segments, alpha_max=cfg.opt.alpha_max
-    )
+    ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=cfg.n_segments)
     points = family.grid(cfg.granularity)
     refs = []
     for index, point in enumerate(points):
@@ -99,7 +99,7 @@ def _serial_initial_round(cfg):
         spec = CostSpec(target=target, lam=cfg.lam, alpha0=np.zeros(ansatz.n_params))
         alpha, report = minimize(
             functools.partial(cost_and_gradient, spec, family.model, ansatz),
-            seeded_init(ansatz, cfg.seed ^ index), cfg.opt,
+            seeded_init(ansatz, cfg.seed ^ index), ansatz.alpha_max, cfg.opt,
         )
         infid = gate_infidelity(evolve(family.model, ansatz, alpha), target, family.dim)
         refs.append(pc.ReferencePulse(np.array(point), alpha, infid, report.iterations))
@@ -195,9 +195,8 @@ def test_round_is_noop_on_converged_uniform_landscape():
         n_controls=2,
         domain_description="anywhere",
         controls=CONTROLS_1Q,
-        contains=lambda t: True,
+        contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
         target=lambda t: np.eye(2, dtype=complex),
-        lattice=lambda k, n: np.ones(len(k), dtype=bool),
     )
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
     ansatz = ControlAnsatz(n_controls=2, n_segments=20)
@@ -225,6 +224,22 @@ def test_round_is_noop_on_converged_uniform_landscape():
     assert rec.mean_penalty == 0.0
 
 
+def test_round_keeps_a_loaded_landscape_in_its_own_box():
+    # A landscape stored with alpha_max 0.5: the round optimizes inside
+    # the box its pulses are evolved and stored under.
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), seed=1)
+    data = landscape_to_dict(pc.initial_round(cfg))
+    data["ansatz"]["alpha_max"] = 0.5
+    for ref in data["references"]:
+        ref["alpha_hex"] = [(0.5 * float.fromhex(a)).hex() for a in ref["alpha_hex"]]
+    land = landscape_from_dict(data)
+    pc.reoptimization_round(land, cfg)
+    assert land.ansatz.alpha_max == 0.5
+    # Some pulse presses against the box, so the bound is in force.
+    assert max(np.abs(ref.alpha).max() for ref in land.references) == 0.5
+    assert len(land.log) == 2
+
+
 def _serial_round(land, cfg):
     """A coordination round as one minimize() per visit, in visit order.
 
@@ -242,7 +257,7 @@ def _serial_round(land, cfg):
         spec = CostSpec(target=target, lam=land.lam, alpha0=ahat, pin_branch=True)
         x0 = np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max)
         objective = functools.partial(cost_and_gradient, spec, model, ansatz)
-        alpha, report = minimize(objective, x0, cfg.opt)
+        alpha, report = minimize(objective, x0, ansatz.alpha_max, cfg.opt)
         infid = gate_infidelity(evolve(model, ansatz, alpha), target, family.dim)
         land.references[i] = pc.ReferencePulse(
             ref.point, alpha, infid, ref.cumulative_iterations + report.iterations
@@ -360,9 +375,8 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
         n_controls=2,
         domain_description="anywhere",
         controls=CONTROLS_1Q,
-        contains=lambda t: True,
+        contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
         target=lambda t: np.full((2, 2), np.nan, dtype=complex),
-        lattice=lambda k, n: np.ones(len(k), dtype=bool),
     )
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
     if stage == "initial":

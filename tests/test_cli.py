@@ -328,12 +328,21 @@ def test_interpolate_out_of_domain_names_the_constraint(landscape_file, capsys):
     assert "unit cube" in err
 
 
-def test_interpolate_malformed_point(landscape_file, capsys):
+@pytest.mark.parametrize(
+    "point,message",
+    [("1,2", "3 comma-separated components"),
+     ("1/0,0,0", "invalid point '1/0,0,0'"),
+     ("1e400,0,0", "invalid point '1e400,0,0'")],
+    ids=["too-few-components", "zero-denominator", "overflow"],
+)
+def test_interpolate_malformed_point(landscape_file, capsys, point, message):
     code = main([
-        "interpolate", "--landscape", str(landscape_file), "--point", "1,2",
+        "interpolate", "--landscape", str(landscape_file), "--point", point,
     ])
     assert code == 2
-    assert "3 comma-separated components" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_interpolate_writes_output_file(landscape_file, tmp_path, capsys):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import pulsecal as pc
 from pulsecal.errors import DomainError
 from pulsecal.families import CARTAN_BOX, SINGLE_QUBIT, WEYL_CHAMBER, get_family
-from pulsecal.linalg import expm_hermitian, is_unitary
+from pulsecal.linalg import expm_hermitian
+
+from gate_checks import is_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -135,6 +137,58 @@ def test_chamber_membership_matches_inequalities(tx, ty, tz):
     # strictly outside by more than the tolerance -> rejected
     if ty > min(tx, 1 - tx) + 1e-6 or tz > ty + 1e-6:
         assert not WEYL_CHAMBER.contains((tx, ty, tz))
+
+
+_SLACK = 1e-9  # the membership slack families.py allows past each face
+
+
+def _unit():
+    return st.floats(-0.25, 1.25, allow_nan=False)
+
+
+@st.composite
+def _lattice_point(draw):
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 24]))
+    return tuple(draw(st.integers(-1, n + 1)) / n for _ in range(3))
+
+
+@st.composite
+def _face_point(draw):
+    """A point on one face of a domain, moved across it by about the slack."""
+    t = [draw(st.floats(0, 1)) for _ in range(3)]
+    face = draw(st.sampled_from(["0", "1", "ty=tx", "ty=1-tx", "tz=ty"]))
+    k = draw(st.integers(0, 2))  # the coordinate moved across the face
+    if face in ("0", "1"):
+        t[k] = float(face)
+    elif face == "tz=ty":
+        k, t[2] = 2, t[1]
+    else:
+        k, t[1] = 1, (t[0] if face == "ty=tx" else 1 - t[0])
+    delta = draw(st.sampled_from([0.5, 1.0, 1.5])) * _SLACK * draw(st.sampled_from([-1, 1]))
+    t[k] += delta
+    if draw(st.booleans()):
+        t[k] = np.nextafter(t[k], draw(st.sampled_from([-np.inf, np.inf])))
+    return tuple(t)
+
+
+_POINTS = st.one_of(
+    st.tuples(_unit(), _unit(), _unit()),
+    _lattice_point(),
+    _face_point(),
+    st.tuples(st.sampled_from([np.nan, 0.5]), st.sampled_from([np.nan, 0.0]), st.just(0.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(pc.FAMILIES)),
+    points=st.lists(_POINTS, min_size=1, max_size=12),
+)
+def test_contains_on_a_batch_equals_each_point(name, points):
+    family = get_family(name)
+    got = family.contains(np.array(points))
+    assert got.dtype == bool
+    assert got.tolist() == [bool(family.contains(p)) for p in points]
 
 
 # -- target unitaries -------------------------------------------------------

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pulsecal.linalg import expm_hermitian, gate_infidelity, is_unitary
+from pulsecal.linalg import expm_hermitian, gate_infidelity
+
+from gate_checks import is_unitary
 
 
 def random_hermitian(rng, dim):

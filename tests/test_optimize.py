@@ -37,29 +37,39 @@ def test_quadratic_interior_minimum_found():
     rng = np.random.default_rng(1)
     for _ in range(10):
         c = rng.uniform(-0.8, 0.8, 12)
-        x, report = minimize(quadratic(c), np.zeros(12), OptConfig())
+        x, report = minimize(quadratic(c), np.zeros(12), 1.0, OptConfig())
         assert np.abs(x - c).max() < 1e-8
         assert report.converged_by in ("grad_tol", "stall", "max_iter")
 
 
 def test_quadratic_exterior_minimum_clamps_to_box():
     c = np.array([1.7, -2.4, 0.3, 0.0])
-    x, _ = minimize(quadratic(c), np.zeros(4), OptConfig())
+    x, _ = minimize(quadratic(c), np.zeros(4), 1.0, OptConfig())
     assert np.abs(x - np.clip(c, -1, 1)).max() < 1e-8
+
+
+def test_box_is_the_half_width_passed_in():
+    c = np.array([1.7, -2.4, 0.3, 0.0])
+    # The start lies outside the box too, and is clipped into it.
+    x, _ = minimize(quadratic(c), np.ones(4), 0.5, OptConfig())
+    assert np.abs(x - np.clip(c, -0.5, 0.5)).max() < 1e-8
+    batch = row_by_row([quadratic(c)], [])
+    [(x_batch, _)] = minimize_lockstep(batch, [np.ones(4)], 0.5, OptConfig())
+    assert x_batch.tobytes() == x.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=8))
 def test_quadratic_converges_for_arbitrary_centers(center):
     c = np.array(center)
-    x, _ = minimize(quadratic(c), np.zeros(len(c)), OptConfig())
+    x, _ = minimize(quadratic(c), np.zeros(len(c)), 1.0, OptConfig())
     assert np.abs(x - c).max() < 1e-7
 
 
 def test_zero_gradient_start_returns_immediately():
     spec = CostSpec(target=np.eye(2), lam=1e-2, alpha0=np.zeros(40))
     obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
-    x, report = minimize(obj, np.zeros(40), OptConfig())
+    x, report = minimize(obj, np.zeros(40), ANSATZ_1Q.alpha_max, OptConfig())
     assert np.array_equal(x, np.zeros(40))
     assert report.iterations <= 1
     assert report.converged_by == "grad_tol"
@@ -75,7 +85,7 @@ def test_result_never_worse_than_start():
     for seed in range(5):
         x0 = seeded_init(ANSATZ_1Q, seed)
         f0, _ = obj(x0)
-        x, report = minimize(obj, x0, OptConfig())
+        x, report = minimize(obj, x0, ANSATZ_1Q.alpha_max, OptConfig())
         assert report.final_cost <= f0
         assert np.abs(x).max() <= 1.0 + 1e-12
 
@@ -84,7 +94,9 @@ def test_iterations_respect_cap_and_evaluations_exceed_them():
     target = pc.single_qubit_unitary((1.0, 0.0, 0.0))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
     obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
-    x, report = minimize(obj, seeded_init(ANSATZ_1Q, 0), OptConfig(max_iter=7))
+    x, report = minimize(
+        obj, seeded_init(ANSATZ_1Q, 0), ANSATZ_1Q.alpha_max, OptConfig(max_iter=7)
+    )
     assert report.iterations <= 7
     # one evaluation at the start plus at least one per accepted step
     assert report.n_evaluations >= report.iterations + 1
@@ -95,8 +107,8 @@ def test_minimize_is_deterministic():
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
     obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     x0 = seeded_init(ANSATZ_1Q, 12)
-    xa, ra = minimize(obj, x0, OptConfig())
-    xb, rb = minimize(obj, x0, OptConfig())
+    xa, ra = minimize(obj, x0, ANSATZ_1Q.alpha_max, OptConfig())
+    xb, rb = minimize(obj, x0, ANSATZ_1Q.alpha_max, OptConfig())
     assert np.array_equal(xa, xb)
     assert ra == rb
 
@@ -106,14 +118,12 @@ def test_non_finite_start_raises():
         return np.nan, np.zeros_like(x)
 
     with pytest.raises(OptimizationError, match="non-finite"):
-        minimize(bad, np.zeros(3), OptConfig())
+        minimize(bad, np.zeros(3), 1.0, OptConfig())
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         OptConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        OptConfig(alpha_max=-1.0)
 
 
 # -- lockstep batches ---------------------------------------------------------
@@ -156,10 +166,10 @@ def test_lockstep_gives_each_problem_what_minimize_gives_it_alone():
     x0s = [np.zeros(6)] * 6 + [np.zeros(6)]
     cfg = OptConfig(max_iter=12)
     calls = []
-    results = minimize_lockstep(row_by_row(funs, calls), x0s, cfg)
+    results = minimize_lockstep(row_by_row(funs, calls), x0s, 1.0, cfg)
     assert len(results) == len(funs)
     for fun, x0, (x, report) in zip(funs, x0s, results):
-        x_alone, report_alone = minimize(fun, x0, cfg)
+        x_alone, report_alone = minimize(fun, x0, 1.0, cfg)
         assert x.tobytes() == x_alone.tobytes()
         assert report == report_alone
     reports = [report for _, report in results]
@@ -182,11 +192,11 @@ def test_lockstep_pulse_problems_equal_minimize_alone():
     x0s = [seeded_init(ANSATZ_1Q, seed) for seed in range(len(points))]
     cfg = OptConfig()
     batch = pulse_objective(CostSpec(targets, 1e-2, anchors), MODEL_1Q, ANSATZ_1Q)
-    results = minimize_lockstep(batch, x0s, cfg)
+    results = minimize_lockstep(batch, x0s, ANSATZ_1Q.alpha_max, cfg)
     for target, x0, (x, report) in zip(targets, x0s, results):
         spec = CostSpec(target, 1e-2, np.zeros(40))
         obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
-        x_alone, report_alone = minimize(obj, x0, cfg)
+        x_alone, report_alone = minimize(obj, x0, ANSATZ_1Q.alpha_max, cfg)
         assert x.tobytes() == x_alone.tobytes()
         assert report == report_alone
     assert len({(r.converged_by, r.n_evaluations) for _, r in results}) > 1
@@ -199,12 +209,12 @@ def test_lockstep_raises_for_the_lowest_numbered_failing_problem():
     funs = [weighted_quadratic(np.full(3, 0.5), np.ones(3))] * 5
     funs[2] = funs[4] = nan_cost
     with pytest.raises(OptimizationError, match="non-finite cost or gradient at initial point") as info:
-        minimize_lockstep(row_by_row(funs, []), [np.zeros(3)] * 5, OptConfig())
+        minimize_lockstep(row_by_row(funs, []), [np.zeros(3)] * 5, 1.0, OptConfig())
     assert info.value.problem == 2
 
 
 def test_lockstep_of_no_problems_is_empty():
-    assert minimize_lockstep(row_by_row([], []), [], OptConfig()) == []
+    assert minimize_lockstep(row_by_row([], []), [], 1.0, OptConfig()) == []
 
 
 # -- seeded initial guesses ---------------------------------------------------
@@ -257,7 +267,7 @@ def test_hard_x_rotation_solved_from_most_seeds():
     wins = 0
     for seed in range(10):
         x0 = seeded_init(ANSATZ_1Q, seed, scale=1.0)
-        x, report = minimize(obj, x0, OptConfig())
+        x, report = minimize(obj, x0, ANSATZ_1Q.alpha_max, OptConfig())
         assert report.iterations <= 50
         wins += pc.gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, x), target, 2) < 1e-6
     assert wins >= 9

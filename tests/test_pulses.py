@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import pulsecal as pc
 from pulsecal.families import CONTROLS_1Q, CONTROLS_2Q
-from pulsecal.linalg import gate_infidelity, is_unitary
+from pulsecal.linalg import gate_infidelity
 from pulsecal.pulses import (
     ControlAnsatz,
     CostSpec,
@@ -19,6 +19,7 @@ from pulsecal.pulses import (
 )
 
 from cost_reference import cost, cost_and_gradient_reference
+from gate_checks import is_unitary
 
 ANSATZ_1Q = ControlAnsatz(n_controls=2)
 ANSATZ_2Q = ControlAnsatz(n_controls=5)
