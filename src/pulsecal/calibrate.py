@@ -108,6 +108,8 @@ class CalibConfig:
     def __post_init__(self):
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_segments < 1:
             raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
         # NaN fails both comparisons.
@@ -158,7 +160,7 @@ def _solve(stage: str, family: GateFamily, ansatz: ControlAnsatz, lam: float, op
     OptimizationError that names the ``stage`` and the point.
     """
     model = family.model
-    targets = np.stack([family.unitary(point) for point in points])
+    targets = family.unitary(points)
     spec = CostSpec(target=targets, lam=lam, alpha0=anchors, pin_branch=pin_branch)
     try:
         results = minimize_lockstep(

@@ -23,12 +23,7 @@ from .calibrate import CalibConfig, Landscape, initial_round, reoptimization_rou
 from .errors import DomainError
 from .linalg import gate_infidelities
 from .mesh import locate
-from .pulses import evolve
-
-# Test points scored per batch in evaluate_grid. Propagating a
-# two-qubit pulse takes about 25 kB of temporaries, so larger blocks
-# raise peak memory while the per-call overhead is already amortized.
-_BLOCK = 64
+from .pulses import KERNEL_BATCH, evolve
 
 
 @dataclass(frozen=True)
@@ -96,17 +91,14 @@ def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[lis
     points = family.grid(test_granularity)
     pulses = _pulse_matrix(landscape)
     records = []
-    for start in range(0, len(points), _BLOCK):
-        block = points[start : start + _BLOCK]
+    for start in range(0, len(points), KERNEL_BATCH):
+        block = points[start : start + KERNEL_BATCH]
         alphas, simplices = _interpolate_block(landscape, pulses, block)
         u = evolve(model, landscape.ansatz, alphas)
-        targets = family.target(block)
-        if targets.shape != u.shape:
-            raise ValueError(f"family {family.name!r} gave targets of shape {targets.shape} "
-                             f"for {len(block)} points; its target must accept a batch")
+        infids = gate_infidelities(u, family.unitary(block), model.dim)
         records += [
             EvalRecord(point=p, infidelity=infid, simplex=int(si))
-            for p, infid, si in zip(block, gate_infidelities(u, targets, model.dim), simplices)
+            for p, infid, si in zip(block, infids, simplices)
         ]
 
     infids = np.array([r.infidelity for r in records])

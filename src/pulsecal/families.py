@@ -15,6 +15,9 @@ point or a batch. A grid is the lattice points a / n that ``contains``
 accepts. A lattice point outside a domain lies at least 1/n outside it,
 far beyond the membership slack and the one rounding of a / n, so point
 counts do not depend on floating-point rounding.
+
+``GateFamily.unitary`` is the one way to a target, for one point or a
+batch; it checks the points with ``check_domain``, as the loader does.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def _in_chamber(t):
 
 @dataclass(frozen=True)
 class GateFamily:
-    """Descriptor bundling a family's name, dimension, domain and target map.
+    """Descriptor bundling a family's name, domain, controls and target map.
 
     ``contains`` and ``target`` each take one point (3,) or a batch
     (B, 3): ``contains`` gives the point's membership, or each row's, and
@@ -96,25 +99,44 @@ class GateFamily:
     """
 
     name: str
-    dim: int
-    n_controls: int
     domain_description: str
     controls: np.ndarray = field(repr=False)
     contains: Callable[[tuple], bool] = field(repr=False)
     target: Callable[[tuple], np.ndarray] = field(repr=False)
 
     @property
+    def dim(self) -> int:
+        return self.controls.shape[-1]
+
+    @property
+    def n_controls(self) -> int:
+        return self.controls.shape[0]
+
+    @property
     def model(self) -> HamiltonianModel:
         """The family's control Hamiltonians, as the pulse model."""
-        return HamiltonianModel(controls=self.controls, dim=self.dim)
+        return HamiltonianModel(controls=self.controls)
+
+    def check_domain(self, t) -> np.ndarray:
+        """One point (3,) or a batch (B, 3), as floats; DomainError names the first outside."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim not in (1, 2) or t.shape[-1] != 3:
+            raise DomainError(f"points have shape {t.shape}, expected (3,) or (B, 3)")
+        outside = np.flatnonzero(~self.contains(t.reshape(-1, 3)))
+        if len(outside):
+            p = tuple(float(c) for c in t.reshape(-1, 3)[outside[0]])
+            raise DomainError(f"point {p} outside the domain of family {self.name!r}: "
+                              f"requires {self.domain_description}")
+        return t
 
     def unitary(self, t) -> np.ndarray:
-        if not self.contains(t):
-            raise DomainError(
-                f"point {tuple(float(c) for c in t)} outside domain of family "
-                f"{self.name!r}: requires {self.domain_description}"
-            )
-        return self.target(t)
+        """Target of one point (3,), or the stack (B, dim, dim) of a batch (B, 3)."""
+        t = self.check_domain(t)
+        u = self.target(t)
+        if np.shape(u) != t.shape[:-1] + (self.dim, self.dim):
+            raise ValueError(f"family {self.name!r} gave targets of shape {np.shape(u)} "
+                             f"for points of shape {t.shape}; its target must accept a batch")
+        return u
 
     def grid(self, granularity: Fraction) -> np.ndarray:
         """All domain lattice points with spacing ``granularity``, as floats.
@@ -135,8 +157,6 @@ class GateFamily:
 
 WEYL_CHAMBER = GateFamily(
     name="weyl-chamber",
-    dim=4,
-    n_controls=5,
     domain_description="0 <= tz <= ty <= min(tx, 1 - tx) with 0 <= tx <= 1",
     controls=CONTROLS_2Q,
     contains=_in_chamber,
@@ -145,8 +165,6 @@ WEYL_CHAMBER = GateFamily(
 
 CARTAN_BOX = GateFamily(
     name="cartan-box",
-    dim=4,
-    n_controls=5,
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
     controls=CONTROLS_2Q,
     contains=_in_box,
@@ -155,8 +173,6 @@ CARTAN_BOX = GateFamily(
 
 SINGLE_QUBIT = GateFamily(
     name="single-qubit",
-    dim=2,
-    n_controls=2,
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
     controls=CONTROLS_1Q,
     contains=_in_box,

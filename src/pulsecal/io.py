@@ -20,7 +20,7 @@ from .calibrate import Landscape, ReferencePulse, RoundRecord
 from .errors import DomainError, FormatError
 from .families import get_family
 from .mesh import from_simplices
-from .pulses import ControlAnsatz
+from .pulses import ControlAnsatz, check_pulses
 
 FORMAT_NAME = "pulsecal-landscape"
 FORMAT_VERSION = 1
@@ -150,20 +150,9 @@ def landscape_from_dict(data: dict) -> Landscape:
         for ref in references:
             if ref.alpha.shape != (ansatz.n_params,):
                 raise FormatError("reference pulse length does not match ansatz")
-        # The bound and its slack are evolve's; NaN fails the comparison.
-        amplitudes = np.array([ref.alpha for ref in references])
-        if not np.all(np.abs(amplitudes) <= ansatz.alpha_max * (1 + 1e-12)):
-            raise FormatError(
-                f"reference pulse amplitudes must be finite and within "
-                f"+-{ansatz.alpha_max}"
-            )
-        points = np.array([r.point for r in references])
-        for point in points:
-            if point.shape != (3,) or not family.contains(point):
-                raise FormatError(
-                    f"reference point {point.tolist()} outside the domain of "
-                    f"family {family.name!r}: requires {family.domain_description}"
-                )
+        # evolve's and unitary's own checks: a file that loads also evolves and scores.
+        check_pulses(ansatz, [ref.alpha for ref in references])
+        points = family.check_domain([r.point for r in references])
         # A row naming a missing vertex, or a degenerate simplex, raises
         # DomainError; in a file it is a format fault.
         simplices = [[_count(i) for i in _list(row)] for row in _list(data["simplices"])]

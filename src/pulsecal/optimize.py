@@ -25,19 +25,12 @@ overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator
 
 import numpy as np
 
 from .errors import OptimizationError
-from .pulses import ControlAnsatz, CostSpec, HamiltonianModel, cost_and_gradient
-
-
-# Problems per kernel call in a batch. A two-qubit problem's kernel
-# temporaries take about 25 kB, and one call for all 343 problems of the
-# cartan box at 1/6 raised a calibrating process's peak RSS by 9%; past
-# about 43 problems a call, the time per problem hardly falls.
-_BLOCK = 64
+from .pulses import KERNEL_BATCH, ControlAnsatz, CostSpec, HamiltonianModel, cost_and_gradient
 
 # Stop on a projected gradient below _GRAD_TOL, or after _STALL_WINDOW
 # accepted steps in a row that each gain at most _COST_REL_TOL of the cost.
@@ -70,14 +63,10 @@ class OptReport:
     n_evaluations: int
 
 
-def seeded_init(ansatz: ControlAnsatz, rng_seed: int, scale: Optional[float] = None) -> np.ndarray:
-    """Uniform i.i.d. initial pulse in [-scale, +scale], reproducible."""
-    if scale is None:
-        scale = 0.5 * ansatz.alpha_max
-    if not 0 < scale <= ansatz.alpha_max:
-        raise ValueError("scale must satisfy 0 < scale <= alpha_max")
-    rng = np.random.default_rng(rng_seed)
-    return rng.uniform(-scale, scale, ansatz.n_params)
+def seeded_init(ansatz: ControlAnsatz, rng_seed: int) -> np.ndarray:
+    """Uniform i.i.d. initial pulse in [-alpha_max/2, +alpha_max/2], reproducible."""
+    scale = 0.5 * ansatz.alpha_max
+    return np.random.default_rng(rng_seed).uniform(-scale, scale, ansatz.n_params)
 
 
 def pulse_objective(
@@ -88,7 +77,7 @@ def pulse_objective(
     ``spec`` holds their targets (N, dim, dim) and anchors (N, n_params).
     ``fn(alphas, rows)`` evaluates the problems numbered ``rows`` at the
     pulses ``alphas`` (len(rows), n_params) and returns their costs and
-    gradients, in kernel calls of at most _BLOCK problems.
+    gradients, in kernel calls of at most KERNEL_BATCH problems.
     """
 
     def block(alpha: np.ndarray, rows: np.ndarray) -> tuple:
@@ -96,11 +85,11 @@ def pulse_objective(
         return cost_and_gradient(spec_block, model, ansatz, alpha)
 
     def fn(alpha: np.ndarray, rows: np.ndarray) -> tuple:
-        if len(rows) <= _BLOCK:
+        if len(rows) <= KERNEL_BATCH:
             return block(alpha, rows)
         costs, grads = zip(*(
-            block(alpha[start : start + _BLOCK], rows[start : start + _BLOCK])
-            for start in range(0, len(rows), _BLOCK)
+            block(alpha[start : start + KERNEL_BATCH], rows[start : start + KERNEL_BATCH])
+            for start in range(0, len(rows), KERNEL_BATCH)
         ))
         return np.concatenate(costs), np.concatenate(grads)
 

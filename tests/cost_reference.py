@@ -1,4 +1,8 @@
-"""Reference paths for the pulse kernel's cost and gradient.
+"""Reference paths for the pulse kernel's propagator, cost and gradient.
+
+``evolve_reference`` is ``evolve`` as first written: its own product
+loop, u = U_s @ u segment by segment, where ``evolve`` now returns the
+last product of the kernel's forward pass.
 
 ``cost`` recomputes the cost from the propagator ``evolve`` returns, with
 the formulas of the ``pulses`` module header: a path independent of the
@@ -22,6 +26,17 @@ from pulsecal.pulses import (
     evolve,
     tikhonov_weight,
 )
+
+
+def evolve_reference(model, ansatz, alpha):
+    """U_T of one pulse, or the stack of a batch's, one segment at a time."""
+    alpha = _as_pulses(ansatz, alpha)
+    alpha2d = alpha.reshape(*alpha.shape[:-1], ansatz.n_controls, ansatz.n_segments)
+    _, _, useg = _segment_unitaries(model, ansatz, alpha2d)
+    u = np.eye(model.dim, dtype=complex)
+    for s in range(ansatz.n_segments):
+        u = useg[..., s, :, :] @ u
+    return u
 
 
 def cost(spec, model, ansatz, alpha) -> float:

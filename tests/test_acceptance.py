@@ -63,7 +63,7 @@ def _off_branch_count(landscape):
     Tr(V^dag U) / d is 1.
     """
     family = landscape.family
-    model = HamiltonianModel(controls=family.controls, dim=family.dim)
+    model = HamiltonianModel(controls=family.controls)
     return sum(
         su_branch(evolve(model, landscape.ansatz, ref.alpha),
                   family.unitary(ref.point), family.dim) != 0
@@ -74,9 +74,7 @@ def _off_branch_count(landscape):
 def _gate_error_at(landscape, point):
     """Infidelity of the interpolated pulse against the family target."""
     alpha = pc.interpolate(landscape, np.asarray(point, dtype=float))
-    model = HamiltonianModel(
-        controls=landscape.family.controls, dim=landscape.family.dim
-    )
+    model = HamiltonianModel(controls=landscape.family.controls)
     u = evolve(model, landscape.ansatz, alpha)
     return gate_infidelity(u, landscape.family.unitary(point), landscape.family.dim)
 
@@ -88,7 +86,7 @@ def test_property_evolution_unitarity(check):
     worst = 0.0
     for family in FAMILIES.values():
         ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=20)
-        model = HamiltonianModel(controls=family.controls, dim=family.dim)
+        model = HamiltonianModel(controls=family.controls)
         eye = np.eye(family.dim)
         for _ in range(40):
             alpha = rng.uniform(-1.0, 1.0, ansatz.n_params)
@@ -106,7 +104,7 @@ def test_property_gradient_matches_finite_differences(check):
     per_family = 100
     for family in FAMILIES.values():
         ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=20)
-        model = HamiltonianModel(controls=family.controls, dim=family.dim)
+        model = HamiltonianModel(controls=family.controls)
         for _ in range(per_family):
             while True:
                 t = rng.random(3)

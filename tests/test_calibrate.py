@@ -77,7 +77,7 @@ def test_initial_round_chamber_structure(chamber_initial):
 
 def test_stored_infidelity_matches_recompute(small_landscape):
     land = small_landscape
-    model = pc.HamiltonianModel(controls=land.family.controls, dim=land.family.dim)
+    model = pc.HamiltonianModel(controls=land.family.controls)
     for ref in land.references:
         u = evolve(model, land.ansatz, ref.alpha)
         recomputed = gate_infidelity(u, land.family.unitary(ref.point), land.family.dim)
@@ -191,12 +191,10 @@ def test_round_is_noop_on_converged_uniform_landscape():
     # so each visit starts at a stationary point and accepts no step.
     const_family = GateFamily(
         name="const-identity",
-        dim=2,
-        n_controls=2,
         domain_description="anywhere",
         controls=CONTROLS_1Q,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
-        target=lambda t: np.eye(2, dtype=complex),
+        target=lambda t: np.broadcast_to(np.eye(2, dtype=complex), np.shape(t)[:-1] + (2, 2)),
     )
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
     ansatz = ControlAnsatz(n_controls=2, n_segments=20)
@@ -325,7 +323,7 @@ def test_coordination_round_puts_references_on_the_branch(small_landscape):
     # SU(2) branches V(t) and -V(t); one coordination round matches V(t)
     # itself at every reference.
     land = small_landscape
-    model = pc.HamiltonianModel(controls=land.family.controls, dim=land.family.dim)
+    model = pc.HamiltonianModel(controls=land.family.controls)
     for ref in land.references:
         u = evolve(model, land.ansatz, ref.alpha)
         assert su_branch(u, land.family.unitary(ref.point), land.family.dim) == 0
@@ -371,12 +369,10 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
     # A NaN target makes the first problem of the round fail at its start.
     bad_family = GateFamily(
         name="single-qubit",
-        dim=2,
-        n_controls=2,
         domain_description="anywhere",
         controls=CONTROLS_1Q,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
-        target=lambda t: np.full((2, 2), np.nan, dtype=complex),
+        target=lambda t: np.full(np.shape(t)[:-1] + (2, 2), np.nan, dtype=complex),
     )
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
     if stage == "initial":
@@ -399,9 +395,9 @@ def test_initial_failure_at_a_later_point_names_that_point(monkeypatch):
     # Only the reference at (1, 1, 0), the seventh of eight, fails; the
     # others of its lockstep batch start fine.
     def target(t):
-        if tuple(t) == (1.0, 1.0, 0.0):
-            return np.full((2, 2), np.nan, dtype=complex)
-        return pc.single_qubit_unitary(t)
+        u = pc.single_qubit_unitary(t)
+        u[(np.asarray(t) == (1.0, 1.0, 0.0)).all(axis=-1)] = np.nan
+        return u
 
     bad_family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
     monkeypatch.setattr(calibrate_mod, "get_family", lambda name: bad_family)
@@ -421,14 +417,22 @@ def test_coordination_failure_not_first_in_its_wave_names_that_point():
     failing = {tuple(land.references[i].point) for i in wave[1:3]}
 
     def target(t):
-        if tuple(t) in failing:
-            return np.full((2, 2), np.nan, dtype=complex)
-        return pc.single_qubit_unitary(t)
+        u = pc.single_qubit_unitary(t)
+        u[[tuple(p) in failing for p in t]] = np.nan
+        return u
 
     land.family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
     where = re.escape(str(tuple(float(c) for c in land.references[wave[1]].point)))
     with pytest.raises(OptimizationError, match=rf"^re-optimization failed at reference point {where}: non-finite"):
         pc.reoptimization_round(land, cfg)
+
+
+def test_initial_round_rejects_a_target_map_without_batches(monkeypatch):
+    family = dataclasses.replace(pc.SINGLE_QUBIT, target=lambda t: np.eye(2, dtype=complex))
+    monkeypatch.setattr(calibrate_mod, "get_family", lambda name: family)
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1))
+    with pytest.raises(ValueError, match="must accept a batch"):
+        pc.initial_round(cfg)
 
 
 def test_config_rejects_bad_values():

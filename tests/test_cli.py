@@ -129,6 +129,15 @@ def test_bad_argument_leaves_the_output_path_as_it_was(tmp_path, capsys, command
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [_CALIBRATE, _SWEEP], ids=["calibrate", "sweep"])
+def test_negative_seed_is_a_bad_argument(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = main([*command, str(out), "--seed", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_write_probe_leaves_no_file_and_keeps_an_existing_one(tmp_path):
     fresh = tmp_path / "fresh"
     _probe_writable(str(fresh))

@@ -99,7 +99,7 @@ def test_evaluation_scores_against_family_target(small_landscape):
     # alone gives.
     land = small_landscape
     records, _ = pc.evaluate_grid(land, Fraction(1, 4))
-    model = pc.HamiltonianModel(controls=land.family.controls, dim=land.family.dim)
+    model = pc.HamiltonianModel(controls=land.family.controls)
     assert len(records) == 125
     for rec in records:
         u = evolve(model, land.ansatz, pc.interpolate(land, rec.point))

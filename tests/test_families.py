@@ -200,6 +200,34 @@ def test_unitary_raises_outside_domain():
         SINGLE_QUBIT.unitary((1.2, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
+def test_batched_unitary_equals_each_point_bit_for_bit(family):
+    points = family.grid(Fraction(1, 6))
+    stack = family.unitary(points)
+    assert stack.shape == (len(points), family.dim, family.dim)
+    for p, u in zip(points, stack):
+        assert u.tobytes() == family.unitary(p).tobytes()
+    assert family.unitary(points[:1]).tobytes() == stack[:1].tobytes()
+
+
+@pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
+def test_batched_unitary_names_the_first_point_outside(family):
+    points = np.concatenate([
+        family.grid(Fraction(1, 2)), [[1.25, 0.0, 0.0], [0.5, 0.0, np.nan], [-1.0, 0.0, 0.0]],
+    ])
+    message = rf"^point \(1.25, 0.0, 0.0\) outside the domain of family '{family.name}': requires"
+    with pytest.raises(DomainError, match=message):
+        family.unitary(points)
+    with pytest.raises(DomainError, match=r"^point \(0.5, 0.0, nan\) outside"):
+        family.unitary(points[[0, -2, -1]])
+
+
+@pytest.mark.parametrize("shape", [(2,), (4, 2), (2, 2, 3), (0,)])
+def test_unitary_rejects_points_of_the_wrong_shape(shape):
+    with pytest.raises(DomainError, match="shape"):
+        SINGLE_QUBIT.unitary(np.zeros(shape))
+
+
 def test_targets_are_unitary():
     rng = np.random.default_rng(8)
     for _ in range(25):

@@ -120,6 +120,25 @@ def test_rejects_pulse_length_mismatch(saved):
         landscape_from_dict(data)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+def test_amplitude_on_the_bound_loads_and_evolves_and_one_ulp_past_it_does_neither(saved, sign):
+    # The largest float within alpha_max * (1 + 1e-12), and the next one up.
+    data = json.loads(saved.read_text())
+    alpha_max = data["ansatz"]["alpha_max"]
+    edge = alpha_max * (1 + 1e-12)
+    data["references"][0]["alpha_hex"][5] = float(sign * edge).hex()
+    land = landscape_from_dict(data)
+    pc.evolve(land.family.model, land.ansatz, land.references[0].alpha)
+
+    past = sign * np.nextafter(edge, np.inf)
+    data["references"][0]["alpha_hex"][5] = float(past).hex()
+    with pytest.raises(FormatError, match="finite"):
+        landscape_from_dict(data)
+    land.references[0].alpha[5] = past
+    with pytest.raises(ValueError, match="out of bounds"):
+        pc.evolve(land.family.model, land.ansatz, land.references[0].alpha)
+
+
 def test_rejects_corrupt_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{this is not json")

@@ -18,13 +18,13 @@ from pulsecal.pulses import (
     tikhonov_weight,
 )
 
-from cost_reference import cost, cost_and_gradient_reference
+from cost_reference import cost, cost_and_gradient_reference, evolve_reference
 from gate_checks import is_unitary
 
 ANSATZ_1Q = ControlAnsatz(n_controls=2)
 ANSATZ_2Q = ControlAnsatz(n_controls=5)
-MODEL_1Q = HamiltonianModel(controls=CONTROLS_1Q, dim=2)
-MODEL_2Q = HamiltonianModel(controls=CONTROLS_2Q, dim=4)
+MODEL_1Q = HamiltonianModel(controls=CONTROLS_1Q)
+MODEL_2Q = HamiltonianModel(controls=CONTROLS_2Q)
 
 
 def random_chamber_point(rng):
@@ -131,6 +131,31 @@ def test_batched_evolve_equals_single_pulses_bit_for_bit(model, ansatz):
         assert u.tobytes() == evolve(model, ansatz, alpha).tobytes()
     with pytest.raises(ValueError, match="out of bounds"):
         evolve(model, ansatz, np.concatenate([batch, np.full((1, ansatz.n_params), 1.5)]))
+
+
+@pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
+@pytest.mark.parametrize("n_batch", [1, 7, 64])
+def test_evolve_equals_the_segment_by_segment_reference_bit_for_bit(family, n_batch):
+    rng = np.random.default_rng(200 + n_batch)
+    ansatz = ControlAnsatz(n_controls=family.n_controls)
+    alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
+    alphas[0, ::3] = 1.0
+    alphas[-1] = 0.0
+    stack = evolve(family.model, ansatz, alphas)
+    assert stack.tobytes() == evolve_reference(family.model, ansatz, alphas).tobytes()
+    for alpha, u in zip(alphas, stack):
+        assert u.tobytes() == evolve_reference(family.model, ansatz, alpha).tobytes()
+
+
+def test_amplitude_bound_is_inclusive_up_to_its_slack():
+    edge = ANSATZ_1Q.alpha_max * (1 + 1e-12)
+    for sign in (1.0, -1.0):
+        alpha = np.zeros(40)
+        alpha[7] = sign * edge
+        evolve(MODEL_1Q, ANSATZ_1Q, alpha)
+        alpha[7] = sign * np.nextafter(edge, np.inf)
+        with pytest.raises(ValueError, match="out of bounds"):
+            evolve(MODEL_1Q, ANSATZ_1Q, alpha)
 
 
 @settings(max_examples=30, deadline=None)
@@ -328,8 +353,8 @@ def _mixed_controls():
 
 
 HAND_BUILT_MODELS = {
-    "dense": HamiltonianModel(controls=_dense_controls(), dim=4),
-    "mixed": HamiltonianModel(controls=_mixed_controls(), dim=4),
+    "dense": HamiltonianModel(controls=_dense_controls()),
+    "mixed": HamiltonianModel(controls=_mixed_controls()),
 }
 
 
