@@ -107,7 +107,7 @@ class CalibConfig:
 
     def __post_init__(self):
         if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_segments < 1:
@@ -171,7 +171,7 @@ def _solve(stage: str, family: GateFamily, ansatz: ControlAnsatz, lam: float, op
         raise OptimizationError(f"{stage} failed at reference point {where}: {exc}") from exc
     alphas = np.array([alpha for alpha, _ in results])
     # The stored infidelity is the gate infidelity, whatever the cost form.
-    infids = gate_infidelities(evolve(model, ansatz, alphas), targets, model.dim)
+    infids = gate_infidelities(evolve(model, ansatz, alphas), targets)
     return [(alpha, report, infid) for (alpha, report), infid in zip(results, infids)]
 
 
@@ -183,7 +183,7 @@ def initial_round(cfg: CalibConfig) -> Landscape:
     """
     family = get_family(cfg.family)
     points = family.grid(cfg.granularity)
-    ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=cfg.n_segments)
+    ansatz = ControlAnsatz(n_controls=family.model.n_controls, n_segments=cfg.n_segments)
     x0s = [seeded_init(ansatz, cfg.seed ^ index) for index in range(len(points))]
     solved = _solve("initial optimization", family, ansatz, cfg.lam, cfg.opt, points,
                     anchors=np.zeros((len(points), ansatz.n_params)), x0s=x0s,
@@ -229,12 +229,14 @@ def _waves(mesh: SimplicialMesh, order) -> list:
     return waves
 
 
-def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
+def reoptimization_round(landscape: Landscape, opt: OptConfig) -> Landscape:
     """One neighbor-coordination pass over all references (in place).
 
-    Runs the visit order wave by wave (see _waves), each wave as one
-    lockstep batch whose problems are numbered in visit order; every
-    reference gets the pulse and report that visiting it alone gives.
+    The landscape carries the family, ansatz and λ; ``opt`` sets the
+    optimizer. Runs the visit order wave by wave (see _waves), each wave
+    as one lockstep batch whose problems are numbered in visit order;
+    every reference gets the pulse and report that visiting it alone
+    gives.
     """
     refs = landscape.references
     snapshot = [neighbor_penalty(landscape, i) for i in range(len(refs))]
@@ -242,7 +244,7 @@ def reoptimization_round(landscape: Landscape, cfg: CalibConfig) -> Landscape:
     for wave in _waves(landscape.mesh, visit_order(snapshot)):
         ahats = np.stack([neighbor_average(landscape, i) for i in wave])
         solved = _solve("re-optimization", landscape.family, landscape.ansatz, landscape.lam,
-                        cfg.opt, [refs[i].point for i in wave],
+                        opt, [refs[i].point for i in wave],
                         anchors=ahats, x0s=ahats, pin_branch=True)
         for i, (alpha, report, infid) in zip(wave, solved):
             refs[i] = ReferencePulse(
@@ -263,5 +265,5 @@ def calibrate(cfg: CalibConfig) -> Landscape:
     """Full pipeline: initial round plus cfg.rounds re-optimization rounds."""
     landscape = initial_round(cfg)
     for _ in range(cfg.rounds):
-        reoptimization_round(landscape, cfg)
+        reoptimization_round(landscape, cfg.opt)
     return landscape

@@ -147,7 +147,7 @@ def cmd_interpolate(args) -> int:
             "ansatz": ansatz_to_dict(landscape.ansatz),
             "alpha": [float(a) for a in alpha],
             "alpha_hex": [float(a).hex() for a in alpha],
-            "infidelity": gate_infidelity(u, target, landscape.family.dim),
+            "infidelity": gate_infidelity(u, target),
         },
         indent=2,
     )
@@ -159,11 +159,12 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grans = [_fraction(g) for g in args.granularities.split(",")]
-    cfg = _calib_config(args, grans[0], 0)
+    cfgs = [_calib_config(args, _fraction(g), args.max_rounds)
+            for g in args.granularities.split(",")]
     test_granularity = _fraction(args.test_granularity)
     _probe_writable(args.csv)
-    rows = sweep(args.family, grans, args.max_rounds, cfg, test_granularity)
+    rows = [(cfg.granularity, rnd, s) for cfg in cfgs
+            for rnd, s in enumerate(sweep(cfg, test_granularity))]
     with open(args.csv, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["granularity", "round", "cumulative_iterations",

@@ -8,13 +8,13 @@ amplitude bounds automatically (convex combination of feasible pulses).
 evaluate_grid measures how well that works: it sweeps a dense test grid
 in blocks of points, evolves each block's interpolated pulses as one
 batch and compares them against the family targets.
-sweep() repeats calibration round by round over several reference
-granularities, producing computation-cost-versus-accuracy tables.
+sweep(cfg, test_granularity) scores one calibration after each of its
+rounds 0..cfg.rounds, giving a computation-cost-versus-accuracy table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -87,15 +87,14 @@ def _combine(coords: np.ndarray, vertex_pulses: np.ndarray) -> np.ndarray:
 def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[list, EvalSummary]:
     """Interpolate and score every domain lattice point at the given spacing."""
     family = landscape.family
-    model = family.model
     points = family.grid(test_granularity)
     pulses = _pulse_matrix(landscape)
     records = []
     for start in range(0, len(points), KERNEL_BATCH):
         block = points[start : start + KERNEL_BATCH]
         alphas, simplices = _interpolate_block(landscape, pulses, block)
-        u = evolve(model, landscape.ansatz, alphas)
-        infids = gate_infidelities(u, family.unitary(block), model.dim)
+        u = evolve(family.model, landscape.ansatz, alphas)
+        infids = gate_infidelities(u, family.unitary(block))
         records += [
             EvalRecord(point=p, infidelity=infid, simplex=int(si))
             for p, infid, si in zip(block, infids, simplices)
@@ -112,28 +111,17 @@ def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[lis
     return records, summary
 
 
-def sweep(
-    family: str,
-    granularities: list,
-    max_rounds: int,
-    cfg: CalibConfig,
-    test_granularity: Fraction,
-) -> list:
-    """Calibration-cost sweep: one EvalSummary per (granularity, round).
+def sweep(cfg: CalibConfig, test_granularity: Fraction) -> list:
+    """Calibration-cost sweep: the EvalSummary after each of rounds 0..cfg.rounds.
 
     Rounds are applied incrementally to the same landscape, so the
-    cumulative iteration counts in consecutive summaries trace a single
-    calibration trajectory per granularity.
+    cumulative iteration counts in consecutive summaries trace the one
+    calibration that ``calibrate(cfg)`` runs.
     """
-    if max_rounds < 0:
-        raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-    rows = []
-    for g in granularities:
-        run_cfg = replace(cfg, family=family, granularity=Fraction(g), rounds=0)
-        landscape = initial_round(run_cfg)
-        for rnd in range(max_rounds + 1):
-            if rnd:
-                reoptimization_round(landscape, run_cfg)
-            _, summary = evaluate_grid(landscape, test_granularity)
-            rows.append((Fraction(g), rnd, summary))
-    return rows
+    landscape = initial_round(cfg)
+    summaries = []
+    for rnd in range(cfg.rounds + 1):
+        if rnd:
+            reoptimization_round(landscape, cfg.opt)
+        summaries.append(evaluate_grid(landscape, test_granularity)[1])
+    return summaries

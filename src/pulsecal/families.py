@@ -18,6 +18,8 @@ counts do not depend on floating-point rounding.
 
 ``GateFamily.unitary`` is the one way to a target, for one point or a
 batch; it checks the points with ``check_domain``, as the loader does.
+Each family holds its pulse model, built once: ``family.model.dim`` and
+``family.model.n_controls`` are read off its controls.
 """
 
 from __future__ import annotations
@@ -91,31 +93,20 @@ def _in_chamber(t):
 
 @dataclass(frozen=True)
 class GateFamily:
-    """Descriptor bundling a family's name, domain, controls and target map.
+    """Descriptor bundling a family's name, domain, pulse model and target map.
 
-    ``contains`` and ``target`` each take one point (3,) or a batch
-    (B, 3): ``contains`` gives the point's membership, or each row's, and
-    ``target`` the point's unitary, or the stack (B, dim, dim).
+    ``model`` holds the control Hamiltonians, and with them the
+    dimension and the control count. ``contains`` and ``target`` each
+    take one point (3,) or a batch (B, 3): ``contains`` gives the
+    point's membership, or each row's, and ``target`` the point's
+    unitary, or the stack (B, dim, dim).
     """
 
     name: str
     domain_description: str
-    controls: np.ndarray = field(repr=False)
+    model: HamiltonianModel = field(repr=False)
     contains: Callable[[tuple], bool] = field(repr=False)
     target: Callable[[tuple], np.ndarray] = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.controls.shape[-1]
-
-    @property
-    def n_controls(self) -> int:
-        return self.controls.shape[0]
-
-    @property
-    def model(self) -> HamiltonianModel:
-        """The family's control Hamiltonians, as the pulse model."""
-        return HamiltonianModel(controls=self.controls)
 
     def check_domain(self, t) -> np.ndarray:
         """One point (3,) or a batch (B, 3), as floats; DomainError names the first outside."""
@@ -133,7 +124,7 @@ class GateFamily:
         """Target of one point (3,), or the stack (B, dim, dim) of a batch (B, 3)."""
         t = self.check_domain(t)
         u = self.target(t)
-        if np.shape(u) != t.shape[:-1] + (self.dim, self.dim):
+        if np.shape(u) != t.shape[:-1] + (self.model.dim,) * 2:
             raise ValueError(f"family {self.name!r} gave targets of shape {np.shape(u)} "
                              f"for points of shape {t.shape}; its target must accept a batch")
         return u
@@ -158,7 +149,7 @@ class GateFamily:
 WEYL_CHAMBER = GateFamily(
     name="weyl-chamber",
     domain_description="0 <= tz <= ty <= min(tx, 1 - tx) with 0 <= tx <= 1",
-    controls=CONTROLS_2Q,
+    model=HamiltonianModel(controls=CONTROLS_2Q),
     contains=_in_chamber,
     target=cartan_unitary,
 )
@@ -166,7 +157,7 @@ WEYL_CHAMBER = GateFamily(
 CARTAN_BOX = GateFamily(
     name="cartan-box",
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
-    controls=CONTROLS_2Q,
+    model=HamiltonianModel(controls=CONTROLS_2Q),
     contains=_in_box,
     target=cartan_unitary,
 )
@@ -174,7 +165,7 @@ CARTAN_BOX = GateFamily(
 SINGLE_QUBIT = GateFamily(
     name="single-qubit",
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
-    controls=CONTROLS_1Q,
+    model=HamiltonianModel(controls=CONTROLS_1Q),
     contains=_in_box,
     target=single_qubit_unitary,
 )

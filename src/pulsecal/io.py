@@ -131,10 +131,10 @@ def landscape_from_dict(data: dict) -> Landscape:
             duration=_float(a["duration"]),
             alpha_max=_float(a["alpha_max"]),
         )
-        if ansatz.n_controls != family.n_controls:
+        if ansatz.n_controls != family.model.n_controls:
             raise FormatError(
                 f"ansatz has {ansatz.n_controls} controls but family "
-                f"{family.name!r} defines {family.n_controls}"
+                f"{family.name!r} defines {family.model.n_controls}"
             )
         # A non-finite coordinate is left to the domain check below,
         # which names the family's domain.
@@ -147,7 +147,10 @@ def landscape_from_dict(data: dict) -> Landscape:
             )
             for r in _list(data["references"])
         ]
-        for ref in references:
+        for k, ref in enumerate(references):
+            if ref.point.shape != (3,):
+                raise FormatError(f"reference {k}: point has {len(ref.point)} components, "
+                                  "expected 3")
             if ref.alpha.shape != (ansatz.n_params,):
                 raise FormatError("reference pulse length does not match ansatz")
         # evolve's and unitary's own checks: a file that loads also evolves and scores.

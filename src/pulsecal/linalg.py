@@ -26,20 +26,20 @@ def expm_hermitian(h: np.ndarray) -> np.ndarray:
     return (q * np.exp(-1j * w)[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
-def gate_infidelity(u: np.ndarray, v: np.ndarray, dim: int) -> float:
+def gate_infidelity(u: np.ndarray, v: np.ndarray) -> float:
     """1 - |Tr(v^dag u)|^2 / dim^2, insensitive to global phase.
 
-    Zero iff u and v agree up to a phase; at most 1 for unitaries.
-    Clipped into [0, 1] to absorb rounding at the endpoints. The batch
-    of one of gate_infidelities.
+    dim is the matrices' own, ``u.shape[-1]``. Zero iff u and v agree up
+    to a phase; at most 1 for unitaries. Clipped into [0, 1] to absorb
+    rounding at the endpoints. The batch of one of gate_infidelities.
     """
-    return gate_infidelities(u[None], v[None], dim)[0]
+    return gate_infidelities(u[None], v[None])[0]
 
 
-def gate_infidelities(u: np.ndarray, v: np.ndarray, dim: int) -> list:
+def gate_infidelities(u: np.ndarray, v: np.ndarray) -> list:
     """gate_infidelity of each pair of the stacks u and v, (B, dim, dim) each."""
     overlaps = np.trace(v.conj().swapaxes(-1, -2) @ u, axis1=-2, axis2=-1)
-    return [overlap_infidelity(tr, dim) for tr in overlaps]
+    return [overlap_infidelity(tr, u.shape[-1]) for tr in overlaps]
 
 
 def overlap_infidelity(tr: complex, dim: int) -> float:

@@ -164,7 +164,7 @@ class CostSpec:
 def _infidelity_term(overlap: complex, dim: int, pin_branch: bool) -> float:
     """Infidelity term E of the cost from the overlap Tr(V^dag U_T).
 
-    The phase-insensitive form is gate_infidelity(U_T, V, dim).
+    The phase-insensitive form is gate_infidelity(U_T, V).
     """
     if pin_branch:
         return float(2.0 * (1.0 - overlap.real / dim))

@@ -33,7 +33,6 @@ from pulsecal.mesh import build_mesh, locate
 from pulsecal.pulses import (
     ControlAnsatz,
     CostSpec,
-    HamiltonianModel,
     cost_and_gradient,
     evolve,
     tikhonov_weight,
@@ -63,10 +62,10 @@ def _off_branch_count(landscape):
     Tr(V^dag U) / d is 1.
     """
     family = landscape.family
-    model = HamiltonianModel(controls=family.controls)
+    model = family.model
     return sum(
         su_branch(evolve(model, landscape.ansatz, ref.alpha),
-                  family.unitary(ref.point), family.dim) != 0
+                  family.unitary(ref.point)) != 0
         for ref in landscape.references
     )
 
@@ -74,9 +73,9 @@ def _off_branch_count(landscape):
 def _gate_error_at(landscape, point):
     """Infidelity of the interpolated pulse against the family target."""
     alpha = pc.interpolate(landscape, np.asarray(point, dtype=float))
-    model = HamiltonianModel(controls=landscape.family.controls)
+    model = landscape.family.model
     u = evolve(model, landscape.ansatz, alpha)
-    return gate_infidelity(u, landscape.family.unitary(point), landscape.family.dim)
+    return gate_infidelity(u, landscape.family.unitary(point))
 
 
 # -- property bundle (no calibration runs) -------------------------------------
@@ -85,9 +84,9 @@ def test_property_evolution_unitarity(check):
     rng = np.random.default_rng(0)
     worst = 0.0
     for family in FAMILIES.values():
-        ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=20)
-        model = HamiltonianModel(controls=family.controls)
-        eye = np.eye(family.dim)
+        ansatz = ControlAnsatz(n_controls=family.model.n_controls, n_segments=20)
+        model = family.model
+        eye = np.eye(family.model.dim)
         for _ in range(40):
             alpha = rng.uniform(-1.0, 1.0, ansatz.n_params)
             u = evolve(model, ansatz, alpha)
@@ -103,8 +102,8 @@ def test_property_gradient_matches_finite_differences(check):
     worst = {False: 0.0, True: 0.0}
     per_family = 100
     for family in FAMILIES.values():
-        ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=20)
-        model = HamiltonianModel(controls=family.controls)
+        ansatz = ControlAnsatz(n_controls=family.model.n_controls, n_segments=20)
+        model = family.model
         for _ in range(per_family):
             while True:
                 t = rng.random(3)
@@ -253,7 +252,7 @@ def chamber_pipeline():
     _, before = pc.evaluate_grid(landscape, Fraction(1, 24))
     mid_before = _gate_error_at(landscape, MIDPOINT)
     for _ in range(10):
-        pc.reoptimization_round(landscape, cfg)
+        pc.reoptimization_round(landscape, cfg.opt)
     _, after = pc.evaluate_grid(landscape, Fraction(1, 24))
     mid_after = _gate_error_at(landscape, MIDPOINT)
     return {

@@ -17,7 +17,7 @@ from pulsecal.errors import OptimizationError
 # The package re-exports calibrate() under the submodule's name, so reach
 # the module itself through importlib for monkeypatching.
 calibrate_mod = importlib.import_module("pulsecal.calibrate")
-from pulsecal.families import CONTROLS_1Q, GateFamily
+from pulsecal.families import GateFamily
 from pulsecal.io import landscape_from_dict, landscape_to_dict
 from pulsecal.linalg import gate_infidelity
 from pulsecal.mesh import build_mesh, neighbors
@@ -77,10 +77,10 @@ def test_initial_round_chamber_structure(chamber_initial):
 
 def test_stored_infidelity_matches_recompute(small_landscape):
     land = small_landscape
-    model = pc.HamiltonianModel(controls=land.family.controls)
+    model = land.family.model
     for ref in land.references:
         u = evolve(model, land.ansatz, ref.alpha)
-        recomputed = gate_infidelity(u, land.family.unitary(ref.point), land.family.dim)
+        recomputed = gate_infidelity(u, land.family.unitary(ref.point))
         assert abs(recomputed - ref.infidelity) <= 1e-12
 
 
@@ -91,7 +91,7 @@ def _serial_initial_round(cfg):
     infidelity and iterations come from that problem alone.
     """
     family = pc.get_family(cfg.family)
-    ansatz = ControlAnsatz(n_controls=family.n_controls, n_segments=cfg.n_segments)
+    ansatz = ControlAnsatz(n_controls=family.model.n_controls, n_segments=cfg.n_segments)
     points = family.grid(cfg.granularity)
     refs = []
     for index, point in enumerate(points):
@@ -101,7 +101,7 @@ def _serial_initial_round(cfg):
             functools.partial(cost_and_gradient, spec, family.model, ansatz),
             seeded_init(ansatz, cfg.seed ^ index), ansatz.alpha_max, cfg.opt,
         )
-        infid = gate_infidelity(evolve(family.model, ansatz, alpha), target, family.dim)
+        infid = gate_infidelity(evolve(family.model, ansatz, alpha), target)
         refs.append(pc.ReferencePulse(np.array(point), alpha, infid, report.iterations))
     land = pc.Landscape(family, ansatz, cfg.lam, refs, build_mesh(points), [], cfg.seed)
     land.log.append(
@@ -192,7 +192,7 @@ def test_round_is_noop_on_converged_uniform_landscape():
     const_family = GateFamily(
         name="const-identity",
         domain_description="anywhere",
-        controls=CONTROLS_1Q,
+        model=pc.SINGLE_QUBIT.model,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
         target=lambda t: np.broadcast_to(np.eye(2, dtype=complex), np.shape(t)[:-1] + (2, 2)),
     )
@@ -211,7 +211,7 @@ def test_round_is_noop_on_converged_uniform_landscape():
         log=[pc.RoundRecord(0, 0, 0, 0.0, 0.0, 0.0)], seed=0,
     )
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1))
-    pc.reoptimization_round(land, cfg)
+    pc.reoptimization_round(land, cfg.opt)
     for ref in land.references:
         assert np.array_equal(ref.alpha, np.zeros(ansatz.n_params))
         assert ref.infidelity == 0.0
@@ -231,7 +231,7 @@ def test_round_keeps_a_loaded_landscape_in_its_own_box():
     for ref in data["references"]:
         ref["alpha_hex"] = [(0.5 * float.fromhex(a)).hex() for a in ref["alpha_hex"]]
     land = landscape_from_dict(data)
-    pc.reoptimization_round(land, cfg)
+    pc.reoptimization_round(land, cfg.opt)
     assert land.ansatz.alpha_max == 0.5
     # Some pulse presses against the box, so the bound is in force.
     assert max(np.abs(ref.alpha).max() for ref in land.references) == 0.5
@@ -256,7 +256,7 @@ def _serial_round(land, cfg):
         x0 = np.clip(ahat, -ansatz.alpha_max, ansatz.alpha_max)
         objective = functools.partial(cost_and_gradient, spec, model, ansatz)
         alpha, report = minimize(objective, x0, ansatz.alpha_max, cfg.opt)
-        infid = gate_infidelity(evolve(model, ansatz, alpha), target, family.dim)
+        infid = gate_infidelity(evolve(model, ansatz, alpha), target)
         land.references[i] = pc.ReferencePulse(
             ref.point, alpha, infid, ref.cumulative_iterations + report.iterations
         )
@@ -278,7 +278,7 @@ def test_wave_rounds_equal_serial_visits(family, granularity, seed, rounds, cham
         start = pc.initial_round(cfg)
     waves, serial = copy.deepcopy(start), copy.deepcopy(start)
     for _ in range(rounds):
-        pc.reoptimization_round(waves, cfg)
+        pc.reoptimization_round(waves, cfg.opt)
         _serial_round(serial, cfg)
         assert landscape_to_dict(waves) == landscape_to_dict(serial)
 
@@ -323,10 +323,10 @@ def test_coordination_round_puts_references_on_the_branch(small_landscape):
     # SU(2) branches V(t) and -V(t); one coordination round matches V(t)
     # itself at every reference.
     land = small_landscape
-    model = pc.HamiltonianModel(controls=land.family.controls)
+    model = land.family.model
     for ref in land.references:
         u = evolve(model, land.ansatz, ref.alpha)
-        assert su_branch(u, land.family.unitary(ref.point), land.family.dim) == 0
+        assert su_branch(u, land.family.unitary(ref.point)) == 0
 
 
 def test_mean_penalty_never_increases(healed_run):
@@ -370,7 +370,7 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
     bad_family = GateFamily(
         name="single-qubit",
         domain_description="anywhere",
-        controls=CONTROLS_1Q,
+        model=pc.SINGLE_QUBIT.model,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
         target=lambda t: np.full(np.shape(t)[:-1] + (2, 2), np.nan, dtype=complex),
     )
@@ -386,7 +386,7 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
         where = re.escape(str(tuple(float(c) for c in first)))
         message = rf"^re-optimization failed at reference point {where}"
         land.family = bad_family
-        run = lambda: pc.reoptimization_round(land, cfg)
+        run = lambda: pc.reoptimization_round(land, cfg.opt)
     with pytest.raises(OptimizationError, match=message):
         run()
 
@@ -424,7 +424,7 @@ def test_coordination_failure_not_first_in_its_wave_names_that_point():
     land.family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
     where = re.escape(str(tuple(float(c) for c in land.references[wave[1]].point)))
     with pytest.raises(OptimizationError, match=rf"^re-optimization failed at reference point {where}: non-finite"):
-        pc.reoptimization_round(land, cfg)
+        pc.reoptimization_round(land, cfg.opt)
 
 
 def test_initial_round_rejects_a_target_map_without_batches(monkeypatch):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -367,9 +368,10 @@ def test_interpolate_writes_output_file(landscape_file, tmp_path, capsys):
 # -- sweep --------------------------------------------------------------------
 
 def test_sweep_writes_cost_accuracy_table(tmp_path, capsys):
+    # One calibration per granularity, each scored after every round.
     csv_path = tmp_path / "sweep.csv"
     code = main([
-        "sweep", "--family", "single-qubit", "--granularities", "1",
+        "sweep", "--family", "single-qubit", "--granularities", "1,1/2",
         "--max-rounds", "1", "--test-granularity", "1/2",
         "--seed", "3", "--csv", str(csv_path),
     ])
@@ -378,7 +380,12 @@ def test_sweep_writes_cost_accuracy_table(tmp_path, capsys):
         rows = list(csv.reader(f))
     assert rows[0] == ["granularity", "round", "cumulative_iterations",
                        "mean_infidelity", "std_infidelity", "max_infidelity", "count"]
-    assert [(r[0], r[1]) for r in rows[1:]] == [("1", "0"), ("1", "1")]
+    assert [(r[0], r[1]) for r in rows[1:]] == [("1", "0"), ("1", "1"), ("1/2", "0"), ("1/2", "1")]
     assert int(rows[2][2]) >= int(rows[1][2])
     assert all(r[6] == "27" for r in rows[1:])
     assert "g=1 round=1" in capsys.readouterr().out
+    for g, table in (("1", rows[1:3]), ("1/2", rows[3:5])):
+        cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(g), rounds=1, seed=3)
+        assert table == [[g, str(k), str(s.cumulative_iterations), repr(s.mean_infidelity),
+                          repr(s.std_infidelity), repr(s.max_infidelity), str(s.count)]
+                         for k, s in enumerate(pc.sweep(cfg, Fraction(1, 2)))]

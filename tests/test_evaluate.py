@@ -99,11 +99,11 @@ def test_evaluation_scores_against_family_target(small_landscape):
     # alone gives.
     land = small_landscape
     records, _ = pc.evaluate_grid(land, Fraction(1, 4))
-    model = pc.HamiltonianModel(controls=land.family.controls)
+    model = land.family.model
     assert len(records) == 125
     for rec in records:
         u = evolve(model, land.ansatz, pc.interpolate(land, rec.point))
-        expected = gate_infidelity(u, land.family.unitary(rec.point), land.family.dim)
+        expected = gate_infidelity(u, land.family.unitary(rec.point))
         assert rec.infidelity == expected
         assert rec.simplex == locate(land.mesh, rec.point).simplex
 
@@ -140,54 +140,28 @@ def test_interpolate_many_rejects_bad_shapes_and_outside_points(small_landscape)
 # -- sweep --------------------------------------------------------------------
 
 def test_sweep_row_layout_and_monotone_cost():
-    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
-    rows = pc.sweep(
-        "single-qubit",
-        [Fraction(1, 1)],
-        max_rounds=2,
-        cfg=cfg,
-        test_granularity=Fraction(1, 2),
-    )
-    assert [(g, r) for g, r, _ in rows] == [
-        (Fraction(1, 1), 0),
-        (Fraction(1, 1), 1),
-        (Fraction(1, 1), 2),
-    ]
-    cums = [s.cumulative_iterations for _, _, s in rows]
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), rounds=2, seed=3)
+    summaries = pc.sweep(cfg, test_granularity=Fraction(1, 2))
+    assert len(summaries) == 3
+    cums = [s.cumulative_iterations for s in summaries]
     assert all(b >= a for a, b in zip(cums, cums[1:]))
-    for _, _, s in rows:
+    for s in summaries:
         assert s.count == 27
 
 
 def test_sweep_rows_equal_fresh_calibrations():
     """Round k of a sweep is what calibrating with k rounds and scoring gives."""
-    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), seed=7)
-    rows = pc.sweep("single-qubit", [Fraction(1, 2)], max_rounds=2, cfg=cfg,
-                    test_granularity=Fraction(1, 4))
-    assert [(g, r) for g, r, _ in rows] == [(Fraction(1, 2), k) for k in range(3)]
-    for k, (_, _, summary) in enumerate(rows):
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), rounds=2, seed=7)
+    summaries = pc.sweep(cfg, test_granularity=Fraction(1, 4))
+    assert len(summaries) == 3
+    for k, summary in enumerate(summaries):
         land = pc.calibrate(dataclasses.replace(cfg, rounds=k))
         assert summary == pc.evaluate_grid(land, Fraction(1, 4))[1]
 
 
-def test_sweep_rejects_negative_rounds():
-    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
-    with pytest.raises(ValueError, match="max_rounds"):
-        pc.sweep("single-qubit", [Fraction(1, 1)], max_rounds=-1, cfg=cfg,
-                 test_granularity=Fraction(1, 1))
-
-
 def test_sweep_zero_rounds_gives_single_row_per_granularity():
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
-    rows = pc.sweep(
-        "single-qubit",
-        [Fraction(1, 1)],
-        max_rounds=0,
-        cfg=cfg,
-        test_granularity=Fraction(1, 1),
-    )
-    assert len(rows) == 1
-    g, rnd, summary = rows[0]
-    assert (g, rnd) == (Fraction(1, 1), 0)
+    summaries = pc.sweep(cfg, test_granularity=Fraction(1, 1))
+    assert len(summaries) == 1
     # Test grid equals the reference grid, so interpolation is exact there.
-    assert summary.count == 8
+    assert summaries[0].count == 8

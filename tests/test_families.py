@@ -61,7 +61,7 @@ def test_batched_targets_equal_single_targets(name):
     family = get_family(name)
     points = family.grid(Fraction(1, 6))
     stack = family.target(points)
-    assert stack.shape == (len(points), family.dim, family.dim)
+    assert stack.shape == (len(points), family.model.dim, family.model.dim)
     for p, u in zip(points, stack):
         assert u.tobytes() == family.unitary(tuple(p)).tobytes()
 
@@ -204,7 +204,7 @@ def test_unitary_raises_outside_domain():
 def test_batched_unitary_equals_each_point_bit_for_bit(family):
     points = family.grid(Fraction(1, 6))
     stack = family.unitary(points)
-    assert stack.shape == (len(points), family.dim, family.dim)
+    assert stack.shape == (len(points), family.model.dim, family.model.dim)
     for p, u in zip(points, stack):
         assert u.tobytes() == family.unitary(p).tobytes()
     assert family.unitary(points[:1]).tobytes() == stack[:1].tobytes()
@@ -273,6 +273,16 @@ def test_get_family_rejects_unknown_name():
 
 def test_families_expose_consistent_control_shapes():
     for fam in pc.FAMILIES.values():
-        assert fam.controls.shape == (fam.n_controls, fam.dim, fam.dim)
+        controls = fam.model.controls
+        assert controls.shape == (fam.model.n_controls, fam.model.dim, fam.model.dim)
         # controls are Hermitian
-        assert np.allclose(fam.controls, fam.controls.conj().transpose(0, 2, 1))
+        assert np.allclose(controls, controls.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("family", pc.FAMILIES.values(), ids=lambda f: f.name)
+def test_each_family_holds_one_model(family):
+    # Every access gives the same model, so its row support is computed
+    # once, and the model is the one source of the dimension and controls.
+    assert family.model is family.model
+    assert family.model.row_support is family.model.row_support
+    assert not any(hasattr(family, name) for name in ("controls", "dim", "n_controls"))

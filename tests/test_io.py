@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsecal as pc
+from pulsecal.cli import main
 from pulsecal.errors import FormatError
 from pulsecal.io import (
     FORMAT_NAME,
@@ -118,6 +119,19 @@ def test_rejects_pulse_length_mismatch(saved):
     data["references"][0]["alpha_hex"] = data["references"][0]["alpha_hex"][:-1]
     with pytest.raises(FormatError, match="length"):
         landscape_from_dict(data)
+
+
+@pytest.mark.parametrize("components", [2, 4])
+def test_rejects_a_point_with_the_wrong_component_count(saved, tmp_path, components):
+    data = json.loads(saved.read_text())
+    ref = data["references"][3]
+    ref["point"] = (ref["point"] + [0.0])[:components]
+    message = rf"^reference 3: point has {components} components, expected 3$"
+    with pytest.raises(FormatError, match=message):
+        landscape_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["interpolate", "--landscape", str(path), "--point", "0,0,0"]) == 4
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])

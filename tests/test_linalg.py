@@ -41,21 +41,21 @@ def test_expm_of_zero_is_identity():
 def test_infidelity_of_matching_gates_is_zero():
     rng = np.random.default_rng(2)
     u = random_unitary(rng, 4)
-    assert gate_infidelity(u, u, 4) < 1e-14
+    assert gate_infidelity(u, u) < 1e-14
 
 
 def test_infidelity_ignores_global_phase():
     rng = np.random.default_rng(3)
     u = random_unitary(rng, 4)
-    assert gate_infidelity(u, np.exp(1j * 0.7) * u, 4) < 1e-14
+    assert gate_infidelity(u, np.exp(1j * 0.7) * u) < 1e-14
 
 
 def test_infidelity_is_symmetric_and_bounded():
     rng = np.random.default_rng(4)
     for _ in range(25):
         u, v = random_unitary(rng, 4), random_unitary(rng, 4)
-        iuv = gate_infidelity(u, v, 4)
-        ivu = gate_infidelity(v, u, 4)
+        iuv = gate_infidelity(u, v)
+        ivu = gate_infidelity(v, u)
         assert abs(iuv - ivu) < 1e-14
         assert 0.0 <= iuv <= 1.0
 
@@ -63,7 +63,7 @@ def test_infidelity_is_symmetric_and_bounded():
 def test_orthogonal_gates_have_unit_infidelity():
     # Pauli X vs identity: traceless overlap.
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert gate_infidelity(x, np.eye(2), 2) == pytest.approx(1.0, abs=1e-15)
+    assert gate_infidelity(x, np.eye(2)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_is_unitary_rejects_non_unitary():

@@ -66,7 +66,7 @@ def test_constant_xx_drive_for_duration_pi_gives_minus_identity():
     u = evolve(MODEL_2Q, ANSATZ_2Q, alpha)
     assert np.allclose(u, -np.eye(4), atol=1e-12)
     # global phase is irrelevant to the gate
-    assert gate_infidelity(u, np.eye(4), 4) < 1e-12
+    assert gate_infidelity(u, np.eye(4)) < 1e-12
 
 
 def test_segment_one_acts_first():
@@ -137,7 +137,7 @@ def test_batched_evolve_equals_single_pulses_bit_for_bit(model, ansatz):
 @pytest.mark.parametrize("n_batch", [1, 7, 64])
 def test_evolve_equals_the_segment_by_segment_reference_bit_for_bit(family, n_batch):
     rng = np.random.default_rng(200 + n_batch)
-    ansatz = ControlAnsatz(n_controls=family.n_controls)
+    ansatz = ControlAnsatz(n_controls=family.model.n_controls)
     alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
     alphas[0, ::3] = 1.0
     alphas[-1] = 0.0
@@ -177,7 +177,7 @@ def test_cost_reduces_to_infidelity_when_lambda_zero():
     target = pc.single_qubit_unitary((0.5, 0.2, 0.1))
     spec = CostSpec(target=target, lam=0.0, alpha0=np.zeros(40))
     j = cost(spec, MODEL_1Q, ANSATZ_1Q, alpha)
-    infid = gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, alpha), target, 2)
+    infid = gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, alpha), target)
     assert j == infid
 
 
@@ -187,7 +187,7 @@ def test_cost_reduces_to_infidelity_at_anchor():
     target = pc.single_qubit_unitary((0.1, 0.9, 0.3))
     spec = CostSpec(target=target, lam=1e-2, alpha0=alpha.copy())
     j = cost(spec, MODEL_1Q, ANSATZ_1Q, alpha)
-    infid = gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, alpha), target, 2)
+    infid = gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, alpha), target)
     assert j == pytest.approx(infid, abs=1e-15)
 
 
@@ -223,7 +223,7 @@ def test_pinned_cost_matches_infidelity_to_first_order():
         h -= np.trace(h) / 4 * np.eye(4)
         target = u @ pc.expm_hermitian(eps * h)
         pinned = CostSpec(target=target, lam=0.0, alpha0=alpha, pin_branch=True)
-        infid = gate_infidelity(u, target, 4)
+        infid = gate_infidelity(u, target)
         assert cost(pinned, MODEL_2Q, ANSATZ_2Q, alpha) == pytest.approx(infid, rel=10 * eps**2)
 
 
@@ -309,7 +309,7 @@ def _family_points(family, rng, n):
 @pytest.mark.parametrize("n_batch", [1, 7, 43])
 def test_batched_cost_and_gradient_equal_single_calls_bit_for_bit(family, pin, n_batch):
     rng = np.random.default_rng(n_batch + 10 * pin)
-    ansatz = ControlAnsatz(n_controls=family.n_controls)
+    ansatz = ControlAnsatz(n_controls=family.model.n_controls)
     targets = family.target(_family_points(family, rng, n_batch))
     anchors = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
     alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
@@ -370,7 +370,7 @@ def _assert_kernel_equals_reference(spec, model, ansatz, alphas):
 @pytest.mark.parametrize("n_batch", [1, 7, 43])
 def test_cost_and_gradient_equal_the_reference_kernel_bit_for_bit(family, pin, n_batch):
     rng = np.random.default_rng(100 + n_batch + 10 * pin)
-    ansatz = ControlAnsatz(n_controls=family.n_controls)
+    ansatz = ControlAnsatz(n_controls=family.model.n_controls)
     targets = family.target(_family_points(family, rng, n_batch))
     anchors = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
     alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
