@@ -68,7 +68,7 @@ class ReferencePulse:
 class RoundRecord:
     """Landscape state after one round (round 0 = initial optimization)."""
 
-    round_index: int
+    round: int
     iterations: int
     cumulative_iterations: int
     mean_infidelity: float
@@ -136,14 +136,14 @@ def visit_order(penalties) -> np.ndarray:
     return np.argsort(-np.asarray(penalties, dtype=float), kind="stable")
 
 
-def _round_record(landscape: Landscape, round_index: int, iterations: int) -> RoundRecord:
+def _round_record(landscape: Landscape, iterations: int) -> RoundRecord:
+    """The record of the round just run on ``landscape``, the next entry of its log."""
     infids = np.array([r.infidelity for r in landscape.references])
     pens = np.array([neighbor_penalty(landscape, i) for i in range(len(landscape.references))])
-    prev = landscape.log[-1].cumulative_iterations if landscape.log else 0
     return RoundRecord(
-        round_index=round_index,
+        round=len(landscape.log),
         iterations=iterations,
-        cumulative_iterations=prev + iterations,
+        cumulative_iterations=landscape.cumulative_iterations + iterations,
         mean_infidelity=float(infids.mean()),
         max_infidelity=float(infids.max()),
         mean_penalty=float(pens.mean()),
@@ -208,7 +208,7 @@ def initial_round(cfg: CalibConfig) -> Landscape:
         seed=cfg.seed,
     )
     total = sum(r.cumulative_iterations for r in refs)
-    landscape.log.append(_round_record(landscape, 0, total))
+    landscape.log.append(_round_record(landscape, total))
     return landscape
 
 
@@ -255,9 +255,7 @@ def reoptimization_round(landscape: Landscape, opt: OptConfig) -> Landscape:
             )
             iterations += report.iterations
 
-    landscape.log.append(
-        _round_record(landscape, landscape.log[-1].round_index + 1, iterations)
-    )
+    landscape.log.append(_round_record(landscape, iterations))
     return landscape
 
 

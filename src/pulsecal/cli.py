@@ -17,13 +17,14 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from .calibrate import CalibConfig, calibrate
 from .errors import DomainError, FormatError
 from .evaluate import evaluate_grid, interpolate, sweep
 from .families import FAMILIES
-from .io import ansatz_to_dict, load_landscape, save_landscape
+from .io import load_landscape, save_landscape
 from .linalg import gate_infidelity
 from .optimize import OptConfig
 from .pulses import evolve
@@ -89,7 +90,7 @@ def _print_log(landscape) -> None:
     print("round  iterations  cumulative  mean_infid    max_infid     mean_penalty")
     for rec in landscape.log:
         print(
-            f"{rec.round_index:5d}  {rec.iterations:10d}  {rec.cumulative_iterations:10d}"
+            f"{rec.round:5d}  {rec.iterations:10d}  {rec.cumulative_iterations:10d}"
             f"  {rec.mean_infidelity:.6e}  {rec.max_infidelity:.6e}  {rec.mean_penalty:.6e}"
         )
 
@@ -104,16 +105,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _summary_dict(summary) -> dict:
-    return {
-        "mean_infidelity": summary.mean_infidelity,
-        "std_infidelity": summary.std_infidelity,
-        "max_infidelity": summary.max_infidelity,
-        "count": summary.count,
-        "cumulative_iterations": summary.cumulative_iterations,
-    }
-
-
 def cmd_evaluate(args) -> int:
     landscape = load_landscape(args.landscape)
     records, summary = evaluate_grid(landscape, _fraction(args.granularity))
@@ -124,7 +115,7 @@ def cmd_evaluate(args) -> int:
             for r in records:
                 writer.writerow([repr(float(c)) for c in r.point]
                                 + [repr(r.infidelity), r.simplex])
-    payload = json.dumps(_summary_dict(summary), indent=2)
+    payload = json.dumps(asdict(summary), indent=2)
     if args.summary:
         with open(args.summary, "w") as f:
             f.write(payload + "\n")
@@ -144,7 +135,7 @@ def cmd_interpolate(args) -> int:
         {
             "family": landscape.family.name,
             "point": list(p),
-            "ansatz": ansatz_to_dict(landscape.ansatz),
+            "ansatz": asdict(landscape.ansatz),
             "alpha": [float(a) for a in alpha],
             "alpha_hex": [float(a).hex() for a in alpha],
             "infidelity": gate_infidelity(u, target),

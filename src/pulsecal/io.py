@@ -1,7 +1,12 @@
 """Landscape persistence.
 
-One self-describing JSON file per landscape. Pulse amplitudes are stored
-as hex-float strings so reloading reproduces the exact binary values and
+One self-describing JSON file per landscape. The ansatz and each round
+log entry are written with ``dataclasses.asdict``, so their keys are the
+fields of ``ControlAnsatz`` and ``RoundRecord``, in field order, and
+read back by one reader that picks each field's parser by its type. A
+loader error names the section or record and the field
+(``log 2: mean_penalty: ...``). Pulse amplitudes are stored as hex-float
+strings so reloading reproduces the exact binary values and
 interpolation results survive the file boundary bit-for-bit; the
 remaining floats rely on JSON's shortest-roundtrip representation, which
 is also exact. Files carry a format/version pair checked on load. The
@@ -13,6 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
+from typing import get_type_hints
 
 import numpy as np
 
@@ -26,22 +33,12 @@ FORMAT_NAME = "pulsecal-landscape"
 FORMAT_VERSION = 1
 
 
-def ansatz_to_dict(ansatz: ControlAnsatz) -> dict:
-    """The ``"ansatz"`` entry of landscape files and served pulses."""
-    return {
-        "n_controls": ansatz.n_controls,
-        "n_segments": ansatz.n_segments,
-        "duration": ansatz.duration,
-        "alpha_max": ansatz.alpha_max,
-    }
-
-
 def landscape_to_dict(landscape: Landscape) -> dict:
     return {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "family": landscape.family.name,
-        "ansatz": ansatz_to_dict(landscape.ansatz),
+        "ansatz": asdict(landscape.ansatz),
         "lambda": landscape.lam,
         "seed": landscape.seed,
         "references": [
@@ -54,17 +51,7 @@ def landscape_to_dict(landscape: Landscape) -> dict:
             for ref in landscape.references
         ],
         "simplices": [[int(i) for i in row] for row in landscape.mesh.simplices],
-        "log": [
-            {
-                "round": rec.round_index,
-                "iterations": rec.iterations,
-                "cumulative_iterations": rec.cumulative_iterations,
-                "mean_infidelity": rec.mean_infidelity,
-                "max_infidelity": rec.max_infidelity,
-                "mean_penalty": rec.mean_penalty,
-            }
-            for rec in landscape.log
-        ],
+        "log": [asdict(rec) for rec in landscape.log],
     }
 
 
@@ -113,6 +100,54 @@ def _list(value) -> list:
     return value
 
 
+def _read(where: str, name: str, read, value):
+    """``read(value)``; a fault in it is a FormatError that names ``where`` and ``name``."""
+    try:
+        return read(value)
+    except (FormatError, DomainError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{where}: {name}: {exc}") from None
+
+
+def _field(entry, where: str, name: str, read):
+    """Field ``name`` of the stored record ``entry``, through ``read``."""
+    if not isinstance(entry, dict):
+        raise FormatError(f"{where}: expected an object, got {type(entry).__name__}")
+    if name not in entry:
+        raise FormatError(f"{where}: {name}: missing")
+    return _read(where, name, read, entry[name])
+
+
+def _record(cls, entry, where: str):
+    """The stored record ``entry`` as a ``cls``: its fields are the dataclass's."""
+    values = {name: _field(entry, where, name, _count if kind is int else _float)
+              for name, kind in get_type_hints(cls).items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+
+
+def _reference(entry, where: str, family, ansatz: ControlAnsatz) -> ReferencePulse:
+    """One ``"references"`` entry, after evolve's and unitary's own checks.
+
+    A file that loads then also evolves and scores. A non-finite
+    coordinate fails the domain check, which names the domain.
+    """
+    point = _field(entry, where, "point",
+                   lambda v: np.array([_number(c) for c in _list(v)], dtype=float))
+    if point.shape != (3,):
+        raise FormatError(f"{where}: point has {len(point)} components, expected 3")
+    alpha = _field(entry, where, "alpha_hex",
+                   lambda v: np.array([float.fromhex(h) for h in _list(v)]))
+    if alpha.shape != (ansatz.n_params,):
+        raise FormatError(f"{where}: alpha_hex has {len(alpha)} entries, "
+                          f"expected {ansatz.n_params}")
+    _read(where, "alpha_hex", lambda a: check_pulses(ansatz, a), alpha)
+    _read(where, "point", family.check_domain, point)
+    return ReferencePulse(point, alpha, _field(entry, where, "infidelity", _float),
+                          _field(entry, where, "iterations", _count))
+
+
 def landscape_from_dict(data: dict) -> Landscape:
     try:
         if data.get("format") != FORMAT_NAME:
@@ -124,57 +159,29 @@ def landscape_from_dict(data: dict) -> Landscape:
                 f"expected {FORMAT_VERSION}"
             )
         family = get_family(data["family"])
-        a = data["ansatz"]
-        ansatz = ControlAnsatz(
-            n_controls=_count(a["n_controls"]),
-            n_segments=_count(a["n_segments"]),
-            duration=_float(a["duration"]),
-            alpha_max=_float(a["alpha_max"]),
-        )
+        ansatz = _record(ControlAnsatz, data["ansatz"], "ansatz")
         if ansatz.n_controls != family.model.n_controls:
             raise FormatError(
                 f"ansatz has {ansatz.n_controls} controls but family "
                 f"{family.name!r} defines {family.model.n_controls}"
             )
-        # A non-finite coordinate is left to the domain check below,
-        # which names the family's domain.
-        references = [
-            ReferencePulse(
-                point=np.array([_number(c) for c in _list(r["point"])], dtype=float),
-                alpha=np.array([float.fromhex(h) for h in _list(r["alpha_hex"])]),
-                infidelity=_float(r["infidelity"]),
-                cumulative_iterations=_count(r["iterations"]),
-            )
-            for r in _list(data["references"])
-        ]
-        for k, ref in enumerate(references):
-            if ref.point.shape != (3,):
-                raise FormatError(f"reference {k}: point has {len(ref.point)} components, "
-                                  "expected 3")
-            if ref.alpha.shape != (ansatz.n_params,):
-                raise FormatError("reference pulse length does not match ansatz")
-        # evolve's and unitary's own checks: a file that loads also evolves and scores.
-        check_pulses(ansatz, [ref.alpha for ref in references])
-        points = family.check_domain([r.point for r in references])
+        references = [_reference(r, f"reference {k}", family, ansatz)
+                      for k, r in enumerate(_list(data["references"]))]
         # A row naming a missing vertex, or a degenerate simplex, raises
         # DomainError; in a file it is a format fault.
         simplices = [[_count(i) for i in _list(row)] for row in _list(data["simplices"])]
-        mesh = from_simplices(points, simplices)
-        log = [
-            RoundRecord(
-                round_index=_count(rec["round"]),
-                iterations=_count(rec["iterations"]),
-                cumulative_iterations=_count(rec["cumulative_iterations"]),
-                mean_infidelity=_float(rec["mean_infidelity"]),
-                max_infidelity=_float(rec["max_infidelity"]),
-                mean_penalty=_float(rec["mean_penalty"]),
-            )
-            for rec in _list(data["log"])
-        ]
+        mesh = from_simplices([ref.point for ref in references], simplices)
+        log = [_record(RoundRecord, rec, f"log {k}") for k, rec in enumerate(_list(data["log"]))]
+        # Every file that pulsecal writes holds its round-0 record, and a
+        # new round numbers itself by its place in the log.
+        if not log:
+            raise FormatError("log: empty, expected the round-0 record")
+        for k, rec in enumerate(log):
+            if rec.round != k:
+                raise FormatError(f"log {k}: round: expected {k}, got {rec.round}")
         lam = _float(data["lambda"])
         seed = _count(data["seed"])
-    # OverflowError: a hex amplitude past the float range, or a vertex
-    # index past 64 bits.
+    # OverflowError: a vertex index past 64 bits.
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc
     return Landscape(

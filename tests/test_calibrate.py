@@ -68,7 +68,7 @@ def test_initial_round_chamber_structure(chamber_initial):
         assert np.abs(ref.alpha).max() <= 1.0 + 1e-12
     assert len(land.log) == 1
     rec = land.log[0]
-    assert rec.round_index == 0
+    assert rec.round == 0
     assert rec.cumulative_iterations == sum(
         r.cumulative_iterations for r in land.references
     )
@@ -105,7 +105,7 @@ def _serial_initial_round(cfg):
         refs.append(pc.ReferencePulse(np.array(point), alpha, infid, report.iterations))
     land = pc.Landscape(family, ansatz, cfg.lam, refs, build_mesh(points), [], cfg.seed)
     land.log.append(
-        calibrate_mod._round_record(land, 0, sum(r.cumulative_iterations for r in refs))
+        calibrate_mod._round_record(land, sum(r.cumulative_iterations for r in refs))
     )
     return land
 
@@ -216,7 +216,7 @@ def test_round_is_noop_on_converged_uniform_landscape():
         assert np.array_equal(ref.alpha, np.zeros(ansatz.n_params))
         assert ref.infidelity == 0.0
     rec = land.log[-1]
-    assert rec.round_index == 1
+    assert rec.round == 1
     assert rec.iterations == 0
     assert rec.mean_infidelity == 0.0
     assert rec.mean_penalty == 0.0
@@ -261,7 +261,7 @@ def _serial_round(land, cfg):
             ref.point, alpha, infid, ref.cumulative_iterations + report.iterations
         )
         iterations += report.iterations
-    land.log.append(calibrate_mod._round_record(land, land.log[-1].round_index + 1, iterations))
+    land.log.append(calibrate_mod._round_record(land, iterations))
     return land
 
 
@@ -336,7 +336,7 @@ def test_mean_penalty_never_increases(healed_run):
 
 def test_log_bookkeeping(healed_run):
     land = healed_run
-    assert [rec.round_index for rec in land.log] == [0, 1, 2, 3]
+    assert [rec.round for rec in land.log] == [0, 1, 2, 3]
     cums = [rec.cumulative_iterations for rec in land.log]
     assert all(b > a for a, b in zip(cums, cums[1:]))
     assert cums[-1] == sum(rec.iterations for rec in land.log)

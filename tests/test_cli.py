@@ -39,7 +39,7 @@ def test_calibrate_writes_landscape_and_prints_log(tmp_path, capsys):
     assert f"saved 8 references to {out}" in text
     land = pc.load_landscape(out)
     assert len(land.references) == 8
-    assert [rec.round_index for rec in land.log] == [0, 1]
+    assert [rec.round for rec in land.log] == [0, 1]
 
 
 def test_calibrate_reruns_are_byte_identical(landscape_file, tmp_path):

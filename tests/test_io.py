@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -114,11 +115,96 @@ def test_rejects_unknown_family(saved):
         landscape_from_dict(data)
 
 
-def test_rejects_pulse_length_mismatch(saved):
+def _exits_4(data, tmp_path) -> bool:
+    """Whether ``pulsecal interpolate`` on a file holding ``data`` exits 4."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    return main(["interpolate", "--landscape", str(path), "--point", "0,0,0"]) == 4
+
+
+def test_rejects_pulse_length_mismatch(saved, tmp_path):
     data = json.loads(saved.read_text())
-    data["references"][0]["alpha_hex"] = data["references"][0]["alpha_hex"][:-1]
-    with pytest.raises(FormatError, match="length"):
+    data["references"][5]["alpha_hex"] = data["references"][5]["alpha_hex"][:-1]
+    with pytest.raises(FormatError, match=r"^reference 5: alpha_hex has 39 entries, expected 40$"):
         landscape_from_dict(data)
+    assert _exits_4(data, tmp_path)
+
+
+def test_rejects_an_empty_log(saved, tmp_path):
+    # Every file pulsecal writes holds its round-0 record, and a round
+    # numbers itself by its place in the log.
+    data = json.loads(saved.read_text())
+    data["log"] = []
+    with pytest.raises(FormatError, match="log: empty"):
+        landscape_from_dict(data)
+    assert _exits_4(data, tmp_path)
+
+
+def _set(path, value):
+    """An edit that sets the entry at ``path`` of the file's data to ``value``."""
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_set(("ansatz", "n_segments"), 20.0), r"^ansatz: n_segments: expected an integer, got 20\.0$"),
+        (_set(("ansatz", "n_segments"), 0), r"^ansatz: n_controls and n_segments must be positive$"),
+        (lambda data: data["ansatz"].pop("duration"), r"^ansatz: duration: missing$"),
+        (_set(("log", 0, "mean_penalty"), "x"), r"^log 0: mean_penalty: expected a number, got 'x'$"),
+        (_set(("log", 1), [1, 2]), r"^log 1: expected an object, got list$"),
+        (_set(("log", 1, "round"), 5), r"^log 1: round: expected 1, got 5$"),
+        (_set(("references", 2, "infidelity"), None),
+         r"^reference 2: infidelity: expected a number, got None$"),
+        (_set(("references", 2, "alpha_hex", 7), 7), r"^reference 2: alpha_hex: "),
+        (_set(("references", 4, "alpha_hex", 0), "0x1.8p+0"),
+         r"^reference 4: alpha_hex: alpha amplitude out of bounds"),
+        (_set(("references", 6, "point", 1), 1.5),
+         r"^reference 6: point: point \(.*\) outside the domain of family 'single-qubit'"),
+    ],
+    ids=["ansatz-fraction", "ansatz-zero", "ansatz-missing", "log-string", "log-list", "log-round",
+         "reference-null", "reference-hex", "reference-amplitude", "reference-domain"],
+)
+def test_loader_errors_name_the_record_and_the_field(saved, tmp_path, edit, message):
+    data = json.loads(saved.read_text())
+    edit(data)
+    with pytest.raises(FormatError, match=message):
+        landscape_from_dict(data)
+    assert _exits_4(data, tmp_path)
+
+
+# The stored keys, in file order: renaming or reordering a field of the
+# dataclass changes the file's bytes, so it must fail here.
+_SCHEMAS = {
+    pc.ControlAnsatz: ["n_controls", "n_segments", "duration", "alpha_max"],
+    pc.RoundRecord: ["round", "iterations", "cumulative_iterations", "mean_infidelity",
+                     "max_infidelity", "mean_penalty"],
+    pc.EvalSummary: ["mean_infidelity", "std_infidelity", "max_infidelity", "count",
+                     "cumulative_iterations"],
+}
+
+
+def test_records_are_stored_as_their_dataclasses_fields(saved, tmp_path):
+    for cls, keys in _SCHEMAS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == keys
+    data = json.loads(saved.read_text())
+    assert list(data["ansatz"]) == _SCHEMAS[pc.ControlAnsatz]
+    for k, rec in enumerate(data["log"]):
+        assert list(rec) == _SCHEMAS[pc.RoundRecord]
+        assert rec["round"] == k
+    summary = tmp_path / "summary.json"
+    assert main(["evaluate", "--landscape", str(saved), "--granularity", "1/2",
+                 "--summary", str(summary)]) == 0
+    assert list(json.loads(summary.read_text())) == _SCHEMAS[pc.EvalSummary]
+    served = tmp_path / "pulse.json"
+    assert main(["interpolate", "--landscape", str(saved), "--point", "1/4,1/4,1/4",
+                 "--out", str(served)]) == 0
+    assert json.loads(served.read_text())["ansatz"] == data["ansatz"]
 
 
 @pytest.mark.parametrize("components", [2, 4])
