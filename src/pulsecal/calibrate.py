@@ -10,8 +10,10 @@ Every batch of reference problems goes through one step, ``_solve``: a
 lockstep batch (``minimize_lockstep``) in the ansatz's amplitude box,
 whose every tick evaluates all unfinished problems in batched kernel
 calls, so each reference gets the pulse, iterations and stored
-infidelity that minimizing it alone gives, bit for bit. The initial
-round's problems do not depend on each other, so they are one batch.
+infidelity that minimizing it alone gives, bit for bit. It also
+replaces each reference of its batch and returns the batch's
+iterations, so a round only chooses its batches. The initial round's
+problems do not depend on each other, so they are one batch.
 
 Re-optimization round semantics (order matters, so they are pinned here):
 the neighbor penalties are snapshotted once at the start of the round and
@@ -151,15 +153,18 @@ def _round_record(landscape: Landscape, iterations: int) -> RoundRecord:
 
 
 def _solve(stage: str, family: GateFamily, ansatz: ControlAnsatz, lam: float, opt: OptConfig,
-           points, anchors: np.ndarray, x0s, pin_branch: bool) -> list:
-    """Minimize the pulse problems of a batch of reference points in lockstep.
+           refs: list, vertices, anchors: np.ndarray, x0s, pin_branch: bool) -> int:
+    """Minimize the pulse problems of a batch of references in lockstep, in place.
 
-    Point k's problem is anchored at ``anchors[k]`` and starts at
-    ``x0s[k]``. Returns one ``(pulse, OptReport, gate infidelity)`` per
-    point, each what minimizing it alone gives. A failure raises an
-    OptimizationError that names the ``stage`` and the point.
+    Problem k is reference ``vertices[k]``'s: it is anchored at
+    ``anchors[k]`` and starts at ``x0s[k]``. Each reference is replaced
+    by its solved pulse and gate infidelity, each what minimizing it
+    alone gives, with the solve's iterations added to its count. Returns
+    the batch's total iterations. A failure raises an OptimizationError
+    that names the ``stage`` and the point, and replaces no reference.
     """
     model = family.model
+    points = np.array([refs[i].point for i in vertices])
     targets = family.unitary(points)
     spec = CostSpec(target=targets, lam=lam, alpha0=anchors, pin_branch=pin_branch)
     try:
@@ -172,7 +177,10 @@ def _solve(stage: str, family: GateFamily, ansatz: ControlAnsatz, lam: float, op
     alphas = np.array([alpha for alpha, _ in results])
     # The stored infidelity is the gate infidelity, whatever the cost form.
     infids = gate_infidelities(evolve(model, ansatz, alphas), targets)
-    return [(alpha, report, infid) for (alpha, report), infid in zip(results, infids)]
+    for i, (alpha, report), infid in zip(vertices, results, infids):
+        refs[i] = ReferencePulse(refs[i].point, alpha, infid,
+                                 refs[i].cumulative_iterations + report.iterations)
+    return sum(report.iterations for _, report in results)
 
 
 def initial_round(cfg: CalibConfig) -> Landscape:
@@ -184,19 +192,12 @@ def initial_round(cfg: CalibConfig) -> Landscape:
     family = get_family(cfg.family)
     points = family.grid(cfg.granularity)
     ansatz = ControlAnsatz(n_controls=family.model.n_controls, n_segments=cfg.n_segments)
-    x0s = [seeded_init(ansatz, cfg.seed ^ index) for index in range(len(points))]
-    solved = _solve("initial optimization", family, ansatz, cfg.lam, cfg.opt, points,
-                    anchors=np.zeros((len(points), ansatz.n_params)), x0s=x0s,
-                    pin_branch=False)
-    refs = [
-        ReferencePulse(
-            point=np.array(point, dtype=float),
-            alpha=alpha,
-            infidelity=infid,
-            cumulative_iterations=report.iterations,
-        )
-        for point, (alpha, report, infid) in zip(points, solved)
-    ]
+    # Unscored placeholders at the seeded starts: _solve replaces every one.
+    refs = [ReferencePulse(np.array(point, dtype=float), seeded_init(ansatz, cfg.seed ^ index),
+                           float("nan"), 0) for index, point in enumerate(points)]
+    total = _solve("initial optimization", family, ansatz, cfg.lam, cfg.opt, refs, range(len(refs)),
+                   anchors=np.zeros((len(refs), ansatz.n_params)), x0s=[r.alpha for r in refs],
+                   pin_branch=False)
 
     landscape = Landscape(
         family=family,
@@ -207,7 +208,6 @@ def initial_round(cfg: CalibConfig) -> Landscape:
         log=[],
         seed=cfg.seed,
     )
-    total = sum(r.cumulative_iterations for r in refs)
     landscape.log.append(_round_record(landscape, total))
     return landscape
 
@@ -243,17 +243,8 @@ def reoptimization_round(landscape: Landscape, opt: OptConfig) -> Landscape:
     iterations = 0
     for wave in _waves(landscape.mesh, visit_order(snapshot)):
         ahats = np.stack([neighbor_average(landscape, i) for i in wave])
-        solved = _solve("re-optimization", landscape.family, landscape.ansatz, landscape.lam,
-                        opt, [refs[i].point for i in wave],
-                        anchors=ahats, x0s=ahats, pin_branch=True)
-        for i, (alpha, report, infid) in zip(wave, solved):
-            refs[i] = ReferencePulse(
-                point=refs[i].point,
-                alpha=alpha,
-                infidelity=infid,
-                cumulative_iterations=refs[i].cumulative_iterations + report.iterations,
-            )
-            iterations += report.iterations
+        iterations += _solve("re-optimization", landscape.family, landscape.ansatz, landscape.lam,
+                             opt, refs, wave, anchors=ahats, x0s=ahats, pin_branch=True)
 
     landscape.log.append(_round_record(landscape, iterations))
     return landscape

@@ -5,11 +5,11 @@ log entry are written with ``dataclasses.asdict``, so their keys are the
 fields of ``ControlAnsatz`` and ``RoundRecord``, in field order, and
 read back by one reader that picks each field's parser by its type. A
 loader error names the section or record and the field
-(``log 2: mean_penalty: ...``). Pulse amplitudes are stored as hex-float
-strings so reloading reproduces the exact binary values and
-interpolation results survive the file boundary bit-for-bit; the
-remaining floats rely on JSON's shortest-roundtrip representation, which
-is also exact. Files carry a format/version pair checked on load. The
+(``log 2: mean_penalty: ...``, ``simplices 4: ...``). Pulse amplitudes
+are stored as hex-float strings so reloading reproduces the exact
+binary values and interpolation results survive the file boundary
+bit-for-bit; the remaining floats rely on JSON's shortest-roundtrip
+representation, which is also exact. Files carry a format/version pair checked on load. The
 mesh is stored as vertex-index rows and reassembled without
 re-triangulating.
 """
@@ -83,14 +83,23 @@ def _float(value) -> float:
 
 
 def _count(value) -> int:
-    """A JSON integer, as a count or an index.
+    """A JSON integer, as a count or an index: every one in the file is >= 0.
 
     A fraction, which int() would truncate, a string and a boolean are
     FormatErrors.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise FormatError(f"expected an integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"expected an integer, got {value!r}")
+    if value < 0:
+        raise FormatError(f"expected a non-negative integer, got {value}")
+    return value
+
+
+def _hex(value) -> float:
+    """A hex-float string as a float, exactly."""
+    if not isinstance(value, str):
+        raise FormatError(f"expected a hex string, got {value!r}")
+    return float.fromhex(value)
 
 
 def _list(value) -> list:
@@ -100,12 +109,12 @@ def _list(value) -> list:
     return value
 
 
-def _read(where: str, name: str, read, value):
-    """``read(value)``; a fault in it is a FormatError that names ``where`` and ``name``."""
+def _read(where: str, read, value):
+    """``read(value)``; a fault in it is a FormatError that names ``where``."""
     try:
         return read(value)
     except (FormatError, DomainError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{where}: {name}: {exc}") from None
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def _field(entry, where: str, name: str, read):
@@ -114,7 +123,7 @@ def _field(entry, where: str, name: str, read):
         raise FormatError(f"{where}: expected an object, got {type(entry).__name__}")
     if name not in entry:
         raise FormatError(f"{where}: {name}: missing")
-    return _read(where, name, read, entry[name])
+    return _read(f"{where}: {name}", read, entry[name])
 
 
 def _record(cls, entry, where: str):
@@ -138,12 +147,12 @@ def _reference(entry, where: str, family, ansatz: ControlAnsatz) -> ReferencePul
     if point.shape != (3,):
         raise FormatError(f"{where}: point has {len(point)} components, expected 3")
     alpha = _field(entry, where, "alpha_hex",
-                   lambda v: np.array([float.fromhex(h) for h in _list(v)]))
+                   lambda v: np.array([_hex(h) for h in _list(v)]))
     if alpha.shape != (ansatz.n_params,):
         raise FormatError(f"{where}: alpha_hex has {len(alpha)} entries, "
                           f"expected {ansatz.n_params}")
-    _read(where, "alpha_hex", lambda a: check_pulses(ansatz, a), alpha)
-    _read(where, "point", family.check_domain, point)
+    _read(f"{where}: alpha_hex", lambda a: check_pulses(ansatz, a), alpha)
+    _read(f"{where}: point", family.check_domain, point)
     return ReferencePulse(point, alpha, _field(entry, where, "infidelity", _float),
                           _field(entry, where, "iterations", _count))
 
@@ -169,7 +178,8 @@ def landscape_from_dict(data: dict) -> Landscape:
                       for k, r in enumerate(_list(data["references"]))]
         # A row naming a missing vertex, or a degenerate simplex, raises
         # DomainError; in a file it is a format fault.
-        simplices = [[_count(i) for i in _list(row)] for row in _list(data["simplices"])]
+        simplices = [_read(f"simplices {k}", lambda r: [_count(i) for i in _list(r)], row)
+                     for k, row in enumerate(_list(data["simplices"]))]
         mesh = from_simplices([ref.point for ref in references], simplices)
         log = [_record(RoundRecord, rec, f"log {k}") for k, rec in enumerate(_list(data["log"]))]
         # Every file that pulsecal writes holds its round-0 record, and a
@@ -179,8 +189,11 @@ def landscape_from_dict(data: dict) -> Landscape:
         for k, rec in enumerate(log):
             if rec.round != k:
                 raise FormatError(f"log {k}: round: expected {k}, got {rec.round}")
-        lam = _float(data["lambda"])
-        seed = _count(data["seed"])
+        # CalibConfig's rule: finite (_float) and non-negative.
+        lam = _read("lambda", _float, data["lambda"])
+        if lam < 0:
+            raise FormatError(f"lambda: expected a non-negative number, got {lam!r}")
+        seed = _read("seed", _count, data["seed"])
     # OverflowError: a vertex index past 64 bits.
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc

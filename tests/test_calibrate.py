@@ -427,6 +427,41 @@ def test_coordination_failure_not_first_in_its_wave_names_that_point():
         pc.reoptimization_round(land, cfg.opt)
 
 
+def test_coordination_failure_keeps_the_failing_wave_and_the_log():
+    # The second reference of a later wave fails at its start. The waves
+    # before it hold the pulses an unbroken round gives them; the failing
+    # wave, the waves after it and the log stay as they were.
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), seed=7)
+    land = pc.initial_round(cfg)
+    order = pc.visit_order([pc.neighbor_penalty(land, i) for i in range(len(land.references))])
+    waves = calibrate_mod._waves(land.mesh, order)
+    failing = next(k for k, w in enumerate(waves) if k > 0 and len(w) >= 2)
+    bad_point = tuple(land.references[waves[failing][1]].point)
+    unbroken = pc.reoptimization_round(pc.initial_round(cfg), cfg.opt)
+    before, log = list(land.references), list(land.log)
+
+    def target(t):
+        u = pc.single_qubit_unitary(t)
+        u[[tuple(p) == bad_point for p in t]] = np.nan
+        return u
+
+    land.family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
+    where = re.escape(str(tuple(float(c) for c in bad_point)))
+    with pytest.raises(OptimizationError, match=rf"^re-optimization failed at reference point {where}"):
+        pc.reoptimization_round(land, cfg.opt)
+    assert land.log == log
+    for k, wave in enumerate(waves):
+        for i in wave:
+            ref = land.references[i]
+            if k < failing:
+                assert not np.array_equal(ref.alpha, before[i].alpha)
+                assert np.array_equal(ref.alpha, unbroken.references[i].alpha)
+                assert ref.infidelity == unbroken.references[i].infidelity
+                assert ref.cumulative_iterations == unbroken.references[i].cumulative_iterations
+            else:
+                assert ref is before[i]
+
+
 def test_initial_round_rejects_a_target_map_without_batches(monkeypatch):
     family = dataclasses.replace(pc.SINGLE_QUBIT, target=lambda t: np.eye(2, dtype=complex))
     monkeypatch.setattr(calibrate_mod, "get_family", lambda name: family)

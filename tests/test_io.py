@@ -161,14 +161,30 @@ def _set(path, value):
         (_set(("log", 1, "round"), 5), r"^log 1: round: expected 1, got 5$"),
         (_set(("references", 2, "infidelity"), None),
          r"^reference 2: infidelity: expected a number, got None$"),
-        (_set(("references", 2, "alpha_hex", 7), 7), r"^reference 2: alpha_hex: "),
+        (_set(("references", 2, "alpha_hex", 7), 3),
+         r"^reference 2: alpha_hex: expected a hex string, got 3$"),
         (_set(("references", 4, "alpha_hex", 0), "0x1.8p+0"),
          r"^reference 4: alpha_hex: alpha amplitude out of bounds"),
         (_set(("references", 6, "point", 1), 1.5),
          r"^reference 6: point: point \(.*\) outside the domain of family 'single-qubit'"),
+        (_set(("references", 3, "iterations"), -5),
+         r"^reference 3: iterations: expected a non-negative integer, got -5$"),
+        (_set(("log", 1, "cumulative_iterations"), -1),
+         r"^log 1: cumulative_iterations: expected a non-negative integer, got -1$"),
+        (_set(("simplices", 4, 1), 3.0), r"^simplices 4: expected an integer, got 3\.0$"),
+        (_set(("simplices", 4), "0 1 2 3"), r"^simplices 4: expected an array, got str$"),
+        (_set(("simplices", 4, 0), -1), r"^simplices 4: expected a non-negative integer, got -1$"),
+        (_set(("lambda",), "x"), r"^lambda: expected a number, got 'x'$"),
+        (_set(("lambda",), -1.0), r"^lambda: expected a non-negative number, got -1\.0$"),
+        (_set(("lambda",), float("inf")), r"^lambda: expected a finite number, got inf$"),
+        (_set(("seed",), "x"), r"^seed: expected an integer, got 'x'$"),
+        (_set(("seed",), -1), r"^seed: expected a non-negative integer, got -1$"),
     ],
     ids=["ansatz-fraction", "ansatz-zero", "ansatz-missing", "log-string", "log-list", "log-round",
-         "reference-null", "reference-hex", "reference-amplitude", "reference-domain"],
+         "reference-null", "reference-hex", "reference-amplitude", "reference-domain",
+         "reference-iterations", "log-cumulative", "simplices-fraction", "simplices-string",
+         "simplices-negative", "lambda-string", "lambda-negative", "lambda-infinite", "seed-string",
+         "seed-negative"],
 )
 def test_loader_errors_name_the_record_and_the_field(saved, tmp_path, edit, message):
     data = json.loads(saved.read_text())
