@@ -5,8 +5,8 @@ log entry are written with ``dataclasses.asdict``, so their keys are the
 fields of ``ControlAnsatz`` and ``RoundRecord``, in field order, and
 read back by one reader that picks each field's parser by its type. A
 loader error names the section or record and the field
-(``log 2: mean_penalty: ...``, ``simplices 4: ...``). Pulse amplitudes
-are stored as hex-float strings so reloading reproduces the exact
+(``log 2: mean_penalty: ...``, ``simplices 4: ...``, ``seed: missing``).
+Pulse amplitudes are stored as hex-float strings so reloading reproduces the exact
 binary values and interpolation results survive the file boundary
 bit-for-bit; the remaining floats rely on JSON's shortest-roundtrip
 representation, which is also exact. Files carry a format/version pair checked on load. The
@@ -117,13 +117,17 @@ def _read(where: str, read, value):
         raise FormatError(f"{where}: {exc}") from None
 
 
-def _field(entry, where: str, name: str, read):
-    """Field ``name`` of the stored record ``entry``, through ``read``."""
+def _field(entry, where: str, name: str, read=lambda value: value):
+    """Field ``name`` of the stored record ``entry``, through ``read``.
+
+    ``where`` names the record; it is empty for the file's top level.
+    """
     if not isinstance(entry, dict):
         raise FormatError(f"{where}: expected an object, got {type(entry).__name__}")
+    label = f"{where}: {name}" if where else name
     if name not in entry:
-        raise FormatError(f"{where}: {name}: missing")
-    return _read(f"{where}: {name}", read, entry[name])
+        raise FormatError(f"{label}: missing")
+    return _read(label, read, entry[name])
 
 
 def _record(cls, entry, where: str):
@@ -167,21 +171,29 @@ def landscape_from_dict(data: dict) -> Landscape:
                 f"unsupported landscape version {version!r}, "
                 f"expected {FORMAT_VERSION}"
             )
-        family = get_family(data["family"])
-        ansatz = _record(ControlAnsatz, data["ansatz"], "ansatz")
+        family = _field(data, "", "family", get_family)
+        ansatz = _record(ControlAnsatz, _field(data, "", "ansatz"), "ansatz")
         if ansatz.n_controls != family.model.n_controls:
             raise FormatError(
                 f"ansatz has {ansatz.n_controls} controls but family "
                 f"{family.name!r} defines {family.model.n_controls}"
             )
         references = [_reference(r, f"reference {k}", family, ansatz)
-                      for k, r in enumerate(_list(data["references"]))]
-        # A row naming a missing vertex, or a degenerate simplex, raises
-        # DomainError; in a file it is a format fault.
-        simplices = [_read(f"simplices {k}", lambda r: [_count(i) for i in _list(r)], row)
-                     for k, row in enumerate(_list(data["simplices"]))]
+                      for k, r in enumerate(_field(data, "", "references", _list))]
+
+        def simplex(row) -> list:
+            indices = [_count(i) for i in _list(row)]
+            if indices and max(indices) >= len(references):
+                raise FormatError(f"vertex index {max(indices)} out of range")
+            return indices
+
+        simplices = [_read(f"simplices {k}", simplex, row)
+                     for k, row in enumerate(_field(data, "", "simplices", _list))]
+        # A degenerate simplex raises DomainError; in a file it is a
+        # format fault.
         mesh = from_simplices([ref.point for ref in references], simplices)
-        log = [_record(RoundRecord, rec, f"log {k}") for k, rec in enumerate(_list(data["log"]))]
+        log = [_record(RoundRecord, rec, f"log {k}")
+               for k, rec in enumerate(_field(data, "", "log", _list))]
         # Every file that pulsecal writes holds its round-0 record, and a
         # new round numbers itself by its place in the log.
         if not log:
@@ -190,11 +202,10 @@ def landscape_from_dict(data: dict) -> Landscape:
             if rec.round != k:
                 raise FormatError(f"log {k}: round: expected {k}, got {rec.round}")
         # CalibConfig's rule: finite (_float) and non-negative.
-        lam = _read("lambda", _float, data["lambda"])
+        lam = _field(data, "", "lambda", _float)
         if lam < 0:
             raise FormatError(f"lambda: expected a non-negative number, got {lam!r}")
-        seed = _read("seed", _count, data["seed"])
-    # OverflowError: a vertex index past 64 bits.
+        seed = _field(data, "", "seed", _count)
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc
     return Landscape(

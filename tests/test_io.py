@@ -101,13 +101,6 @@ def test_rejects_unsupported_version(saved):
         landscape_from_dict(data)
 
 
-def test_rejects_missing_sections(saved):
-    data = json.loads(saved.read_text())
-    del data["references"]
-    with pytest.raises(FormatError, match="malformed"):
-        landscape_from_dict(data)
-
-
 def test_rejects_unknown_family(saved):
     data = json.loads(saved.read_text())
     data["family"] = "three-qubit"
@@ -150,6 +143,15 @@ def _set(path, value):
     return edit
 
 
+def _drop(key):
+    """An edit that deletes the file's top-level entry ``key``."""
+    return lambda data: data.pop(key)
+
+
+# The top-level keys the loader reads after the format and version.
+_TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "log")
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -179,12 +181,17 @@ def _set(path, value):
         (_set(("lambda",), float("inf")), r"^lambda: expected a finite number, got inf$"),
         (_set(("seed",), "x"), r"^seed: expected an integer, got 'x'$"),
         (_set(("seed",), -1), r"^seed: expected a non-negative integer, got -1$"),
+        (_set(("simplices", 4, 3), 99), r"^simplices 4: vertex index 99 out of range$"),
+        (_set(("simplices", 4, 0), 2**70), r"^simplices 4: vertex index \d+ out of range$"),
+        (_set(("references",), "x"), r"^references: expected an array, got str$"),
+        *((_drop(key), rf"^{key}: missing$") for key in _TOP_LEVEL),
     ],
     ids=["ansatz-fraction", "ansatz-zero", "ansatz-missing", "log-string", "log-list", "log-round",
          "reference-null", "reference-hex", "reference-amplitude", "reference-domain",
          "reference-iterations", "log-cumulative", "simplices-fraction", "simplices-string",
          "simplices-negative", "lambda-string", "lambda-negative", "lambda-infinite", "seed-string",
-         "seed-negative"],
+         "seed-negative", "simplices-range", "simplices-huge", "references-string",
+         *(f"no-{key}" for key in _TOP_LEVEL)],
 )
 def test_loader_errors_name_the_record_and_the_field(saved, tmp_path, edit, message):
     data = json.loads(saved.read_text())

@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pulsecal as pc
@@ -128,14 +128,21 @@ def test_config_validation():
 
 # -- lockstep batches ---------------------------------------------------------
 
-def weighted_quadratic(center, weights, offset=0.0, sign=1.0):
-    """offset + sum w (x - c)^2; sign=-1 hands back an uphill gradient."""
+def weighted_quadratic(center, weights, offset=0.0, sign=1.0, nan_within=0.0):
+    """offset + sum w (x - c)^2; sign=-1 hands back an uphill gradient.
+
+    The cost is NaN within ``nan_within`` of the center, so a descent
+    toward it meets NaN part-way; the gradient stays finite.
+    """
     center = np.asarray(center, dtype=float)
     weights = np.asarray(weights, dtype=float)
 
     def fn(x):
         d = x - center
-        return offset + float(weights @ (d * d)), sign * 2.0 * weights * d
+        cost = offset + float(weights @ (d * d))
+        if d @ d < nan_within**2:
+            cost = np.nan
+        return cost, sign * 2.0 * weights * d
 
     return fn
 
@@ -151,38 +158,78 @@ def row_by_row(funs, calls):
     return fn
 
 
-def test_lockstep_gives_each_problem_what_minimize_gives_it_alone():
-    rng = np.random.default_rng(5)
-    c = [rng.uniform(-0.8, 0.8, 6) for _ in range(7)]
-    funs = [
-        weighted_quadratic(c[0], np.ones(6)),  # grad_tol after 2 steps
-        weighted_quadratic(c[1], np.logspace(0, 4, 6)),  # max_iter
-        weighted_quadratic(c[2], np.logspace(0, 2, 6), offset=1e10),  # stall, tiny gains
-        weighted_quadratic(c[3], np.ones(6), sign=-1.0),  # stall, line search fails
-        weighted_quadratic([2.0, 0.3, -3.0, 0.1, 0.5, 0.2], np.ones(6)),  # grad_tol on the box
-        weighted_quadratic(c[5], np.logspace(0, 3, 6), offset=1e9),  # stall, later
-        weighted_quadratic(np.zeros(6), np.ones(6)),  # grad_tol at the start
-    ]
-    x0s = [np.zeros(6)] * 6 + [np.zeros(6)]
-    cfg = OptConfig(max_iter=12)
+# The kinds of problem a lockstep batch mixes, with the stop each one
+# reaches when its cap allows it.
+_KINDS = ("start", "box", "max_iter", "stall", "uphill", "nan")
+
+
+def _problem(kind: str, seed: int):
+    """Problem ``kind`` number ``seed``: its start (up to twice the box) and objective."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-2.0, 2.0, 6)
+    center = rng.uniform(-0.8, 0.8, 6)
+    weights = np.logspace(0, rng.uniform(0.0, 2.0), 6)
+    if kind == "start":  # grad_tol at the clipped start
+        return x0, weighted_quadratic(np.clip(x0, -1.0, 1.0), weights)
+    if kind == "box":  # grad_tol on the box
+        return x0, weighted_quadratic(center + np.sign(center) * 1.5, np.ones(6))
+    if kind == "max_iter":  # ill-conditioned
+        return x0, weighted_quadratic(center, np.logspace(0, 4, 6))
+    if kind == "stall":  # gains too small for the cost's size
+        return x0, weighted_quadratic(center, weights, offset=10.0 ** rng.uniform(9, 11))
+    if kind == "uphill":  # every line search fails: from the origin after
+        # _LINE_SEARCH_TRIES probes, elsewhere once the step underflows
+        return x0 * (seed % 2), weighted_quadratic(center, weights, sign=-1.0)
+    # "nan": the cost turns NaN near the center, and the line search backs off.
+    return x0, weighted_quadratic(center, weights, nan_within=rng.uniform(0.05, 0.5))
+
+
+# Two batches run on every pass, one on each side of _BATCHED_FROM:
+# (problems, max_iter).
+_PINNED = [([(kind, seed) for seed in range(3) for kind in _KINDS], 12),
+           ([("start", 7), ("max_iter", 7), ("uphill", 8)], 15)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problems=st.lists(st.tuples(st.sampled_from(_KINDS), st.integers(0, 2**32 - 1)),
+                      min_size=1, max_size=40),
+    max_iter=st.integers(1, 15),
+)
+@example(problems=_PINNED[0][0], max_iter=_PINNED[0][1])
+@example(problems=_PINNED[1][0], max_iter=_PINNED[1][1])
+def test_lockstep_gives_each_problem_what_minimize_gives_it_alone(problems, max_iter):
+    # Batches of 1-40 problems fall on both sides of _BATCHED_FROM.
+    cfg = OptConfig(max_iter=max_iter)
+    drawn = [_problem(kind, seed) for kind, seed in problems]
+    x0s = [x0 for x0, _ in drawn]
     calls = []
-    results = minimize_lockstep(row_by_row(funs, calls), x0s, 1.0, cfg)
-    assert len(results) == len(funs)
-    for fun, x0, (x, report) in zip(funs, x0s, results):
+    results = minimize_lockstep(row_by_row([fun for _, fun in drawn], calls), x0s, 1.0, cfg)
+    assert len(results) == len(problems)
+    for (kind, seed), (x, report) in zip(problems, results):
+        x0, fun = _problem(kind, seed)
         x_alone, report_alone = minimize(fun, x0, 1.0, cfg)
         assert x.tobytes() == x_alone.tobytes()
         assert report == report_alone
     reports = [report for _, report in results]
-    assert {r.converged_by for r in reports} == {"grad_tol", "stall", "max_iter"}
-    assert len({r.n_evaluations for r in reports}) >= 5
     # One call per tick, rows ascending; a problem leaves the batch when it
     # stops, so it takes part in exactly as many ticks as it evaluates.
-    assert calls[0] == list(range(len(funs)))
+    assert calls[0] == list(range(len(problems)))
     assert all(rows == sorted(rows) for rows in calls)
     assert len(calls) == max(r.n_evaluations for r in reports)
     for i, r in enumerate(reports):
         assert sum(i in rows for rows in calls) == r.n_evaluations
         assert all(i in rows for rows in calls[: r.n_evaluations])
+
+
+def test_pinned_lockstep_examples_reach_every_stop():
+    # The pinned examples above are only as strong as the stops they reach.
+    for problems, max_iter in _PINNED:
+        cfg = OptConfig(max_iter=max_iter)
+        reports = [minimize(fun, x0, 1.0, cfg)[1] for x0, fun in
+                   (_problem(kind, seed) for kind, seed in problems)]
+        assert {r.converged_by for r in reports} == {"grad_tol", "stall", "max_iter"}
+        assert len({r.n_evaluations for r in reports}) >= 3
 
 
 def test_lockstep_pulse_problems_equal_minimize_alone():
@@ -206,11 +253,14 @@ def test_lockstep_raises_for_the_lowest_numbered_failing_problem():
     def nan_cost(x):
         return np.nan, np.zeros_like(x)
 
-    funs = [weighted_quadratic(np.full(3, 0.5), np.ones(3))] * 5
-    funs[2] = funs[4] = nan_cost
-    with pytest.raises(OptimizationError, match="non-finite cost or gradient at initial point") as info:
-        minimize_lockstep(row_by_row(funs, []), [np.zeros(3)] * 5, 1.0, OptConfig())
-    assert info.value.problem == 2
+    # Five problems run as one array state, three as one machine each.
+    for n in (5, 3):
+        funs = [weighted_quadratic(np.full(3, 0.5), np.ones(3))] * n
+        funs[1] = funs[n - 1] = nan_cost
+        with pytest.raises(OptimizationError,
+                           match="non-finite cost or gradient at initial point") as info:
+            minimize_lockstep(row_by_row(funs, []), [np.zeros(3)] * n, 1.0, OptConfig())
+        assert info.value.problem == 1
 
 
 def test_lockstep_of_no_problems_is_empty():
