@@ -117,6 +117,8 @@ class CalibConfig:
         # NaN fails both comparisons.
         if not 0 <= self.lam < float("inf"):
             raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
+        # Refused here, before a sweep calibrates anything.
+        get_family(self.family).check_spacing(self.granularity)
 
 
 def neighbor_average(landscape: Landscape, i: int) -> np.ndarray:

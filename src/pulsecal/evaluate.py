@@ -90,6 +90,9 @@ def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[lis
     points = family.grid(test_granularity)
     pulses = _pulse_matrix(landscape)
     records = []
+    # Blocks of KERNEL_BATCH points bound the interpolation temporaries as
+    # well as the kernel's: scoring the box's 2,197 test points in one block
+    # raised the serve workload's peak RSS from about 84 to 95 MB.
     for start in range(0, len(points), KERNEL_BATCH):
         block = points[start : start + KERNEL_BATCH]
         alphas, simplices = _interpolate_block(landscape, pulses, block)

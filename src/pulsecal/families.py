@@ -16,6 +16,11 @@ accepts. A lattice point outside a domain lies at least 1/n outside it,
 far beyond the membership slack and the one rounding of a / n, so point
 counts do not depend on floating-point rounding.
 
+Each family also states the corners of its domain, as exact fractions.
+The references' hull is the whole domain only when every corner is a
+reference, so ``check_spacing`` refuses a reference spacing whose
+lattice misses one: the chamber at 1/3 misses (1/2, 1/2, 0).
+
 ``GateFamily.unitary`` is the one way to a target, for one point or a
 batch; it checks the points with ``check_domain``, as the loader does.
 Each family holds its pulse model, built once: ``family.model.dim`` and
@@ -24,6 +29,7 @@ Each family holds its pulse model, built once: ``family.model.dim`` and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -95,15 +101,17 @@ def _in_chamber(t):
 class GateFamily:
     """Descriptor bundling a family's name, domain, pulse model and target map.
 
-    ``model`` holds the control Hamiltonians, and with them the
-    dimension and the control count. ``contains`` and ``target`` each
-    take one point (3,) or a batch (B, 3): ``contains`` gives the
-    point's membership, or each row's, and ``target`` the point's
-    unitary, or the stack (B, dim, dim).
+    ``corners`` lists the corners of the domain as exact numbers (ints
+    and Fractions). ``model`` holds the control Hamiltonians, and with
+    them the dimension and the control count. ``contains`` and
+    ``target`` each take one point (3,) or a batch (B, 3): ``contains``
+    gives the point's membership, or each row's, and ``target`` the
+    point's unitary, or the stack (B, dim, dim).
     """
 
     name: str
     domain_description: str
+    corners: tuple = field(repr=False)
     model: HamiltonianModel = field(repr=False)
     contains: Callable[[tuple], bool] = field(repr=False)
     target: Callable[[tuple], np.ndarray] = field(repr=False)
@@ -136,19 +144,40 @@ class GateFamily:
         the domain, boundary included. Ordering is lexicographic in
         (tx, ty, tz), which every other module relies on being stable.
         """
-        g = Fraction(granularity)
-        if g <= 0 or (1 / g).denominator != 1:
-            raise ValueError(f"granularity must evenly divide 1, got {g}")
-        n = int(1 / g)
+        n = _divisions(granularity)
         # Float division of the exact integers rounds a / n once, as
         # float(Fraction(a, n)) does.
         points = np.indices((n + 1,) * 3).reshape(3, -1).T / n
         return points[self.contains(points)]
 
+    def check_spacing(self, granularity: Fraction) -> None:
+        """Refuse a reference spacing whose lattice misses a corner of the domain."""
+        n = _divisions(granularity)
+        for corner in self.corners:
+            if any((Fraction(c) * n).denominator != 1 for c in corner):
+                raise ValueError(
+                    f"granularity {Fraction(granularity)} misses the corner "
+                    f"({', '.join(map(str, corner))}) of family {self.name!r}: "
+                    "the reference lattice must hold every corner of the domain"
+                )
+
+
+def _divisions(granularity: Fraction) -> int:
+    """The n of a spacing 1/n; a spacing that does not divide 1 is refused."""
+    g = Fraction(granularity)
+    if g <= 0 or (1 / g).denominator != 1:
+        raise ValueError(f"granularity must evenly divide 1, got {g}")
+    return int(1 / g)
+
+
+_HALF = Fraction(1, 2)
+_CUBE_CORNERS = tuple(itertools.product((0, 1), repeat=3))
+
 
 WEYL_CHAMBER = GateFamily(
     name="weyl-chamber",
     domain_description="0 <= tz <= ty <= min(tx, 1 - tx) with 0 <= tx <= 1",
+    corners=((0, 0, 0), (1, 0, 0), (_HALF, _HALF, 0), (_HALF, _HALF, _HALF)),
     model=HamiltonianModel(controls=CONTROLS_2Q),
     contains=_in_chamber,
     target=cartan_unitary,
@@ -157,6 +186,7 @@ WEYL_CHAMBER = GateFamily(
 CARTAN_BOX = GateFamily(
     name="cartan-box",
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
+    corners=_CUBE_CORNERS,
     model=HamiltonianModel(controls=CONTROLS_2Q),
     contains=_in_box,
     target=cartan_unitary,
@@ -165,6 +195,7 @@ CARTAN_BOX = GateFamily(
 SINGLE_QUBIT = GateFamily(
     name="single-qubit",
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
+    corners=_CUBE_CORNERS,
     model=HamiltonianModel(controls=CONTROLS_1Q),
     contains=_in_box,
     target=single_qubit_unitary,

@@ -54,7 +54,7 @@ from typing import Callable, Generator
 import numpy as np
 
 from .errors import OptimizationError
-from .pulses import KERNEL_BATCH, ControlAnsatz, CostSpec, HamiltonianModel, cost_and_gradient
+from .pulses import ControlAnsatz, CostSpec, HamiltonianModel, cost_and_gradient
 
 # Stop on a projected gradient below _GRAD_TOL, or after _STALL_WINDOW
 # accepted steps in a row that each gain at most _COST_REL_TOL of the cost.
@@ -104,22 +104,12 @@ def pulse_objective(
 
     ``spec`` holds their targets (N, dim, dim) and anchors (N, n_params).
     ``fn(alphas, rows)`` evaluates the problems numbered ``rows`` at the
-    pulses ``alphas`` (len(rows), n_params) and returns their costs and
-    gradients, in kernel calls of at most KERNEL_BATCH problems.
+    pulses ``alphas`` (len(rows), n_params) in one cost_and_gradient call.
     """
 
-    def block(alpha: np.ndarray, rows: np.ndarray) -> tuple:
-        spec_block = CostSpec(spec.target[rows], spec.lam, spec.alpha0[rows], spec.pin_branch)
-        return cost_and_gradient(spec_block, model, ansatz, alpha)
-
     def fn(alpha: np.ndarray, rows: np.ndarray) -> tuple:
-        if len(rows) <= KERNEL_BATCH:
-            return block(alpha, rows)
-        costs, grads = zip(*(
-            block(alpha[start : start + KERNEL_BATCH], rows[start : start + KERNEL_BATCH])
-            for start in range(0, len(rows), KERNEL_BATCH)
-        ))
-        return np.concatenate(costs), np.concatenate(grads)
+        rows_spec = CostSpec(spec.target[rows], spec.lam, spec.alpha0[rows], spec.pin_branch)
+        return cost_and_gradient(rows_spec, model, ansatz, alpha)
 
     return fn
 

@@ -35,10 +35,10 @@ differentiated through its eigendecomposition (the standard divided-
 difference formula for the derivative of a matrix exponential), and the
 chain rule over segments reuses the forward/backward partial products.
 
-``evolve`` and ``cost_and_gradient`` take one pulse or a batch of
-pulses with a leading axis; every row of a batch gets the bits that
-pulse gets alone. ``evolve`` is the kernel's forward pass (``_forward``)
-alone, and checks the amplitude box with ``check_pulses``, as the loader does.
+``evolve`` and ``cost_and_gradient`` take one pulse or a batch of any
+size, run as kernel calls on row slices of at most ``KERNEL_BATCH``
+rows; every row gets the bits that pulse gets alone. ``evolve`` is the
+forward pass (``_forward``) alone, and checks pulses with ``check_pulses``.
 
 The gradient's four contractions (K_mid = F V^dag B, R = Q^dag K_mid Q,
 W_k = Q^dag B_k Q and their trace against phi) run on contiguous
@@ -66,16 +66,16 @@ order from its operands' strides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import overlap_infidelity
 
-# Problems per kernel call, in calibration and evaluation. A two-qubit problem's
-# temporaries take about 25 kB; one call for all 343 cartan-box problems at 1/6
-# raised peak RSS by 9%, and past about 43 the time per problem hardly falls.
+# Most problems per kernel call; evolve and cost_and_gradient split a larger
+# batch. A two-qubit problem's temporaries take about 25 kB, and past about 43
+# problems the time per problem hardly falls.
 KERNEL_BATCH = 64
 
 
@@ -224,6 +224,9 @@ def evolve(model: HamiltonianModel, ansatz: ControlAnsatz, alpha: np.ndarray) ->
     their propagators, each bit for bit as evolving that pulse alone.
     """
     alpha = check_pulses(ansatz, alpha)
+    if alpha.ndim == 2 and len(alpha) > KERNEL_BATCH:
+        return np.concatenate([evolve(model, ansatz, alpha[start : start + KERNEL_BATCH])
+                               for start in range(0, len(alpha), KERNEL_BATCH)])
     alpha2d = alpha.reshape(-1, ansatz.n_controls, ansatz.n_segments)
     u = _forward(_segment_unitaries(model, ansatz, alpha2d)[2])[-1]
     return u if alpha.ndim == 2 else u[0]
@@ -243,9 +246,9 @@ def cost_and_gradient(
     (n_params,). A batch (B, n_params) of problems, with ``spec.target``
     (B, dim, dim) and ``spec.alpha0`` (B, n_params), gives the costs
     (B,) and the gradients (B, n_params). Each row is bit for bit what
-    that problem gives alone: a single pulse is the batch of one, every
-    product works matrix by matrix, and the costs go through the scalar
-    infidelity formula one row at a time.
+    that problem gives alone: a single pulse is the batch of one, a batch
+    splits into row slices, every product works matrix by matrix, and the
+    costs go through the scalar infidelity formula one row at a time.
     """
     alpha = _as_pulses(ansatz, alpha)
     nf, ns, dim, dt = ansatz.n_controls, ansatz.n_segments, model.dim, ansatz.dt
@@ -254,6 +257,13 @@ def cost_and_gradient(
         raise ValueError(
             f"target has shape {target.shape}, expected {alpha.shape[:-1] + (dim, dim)}"
         )
+    if alpha.ndim == 2 and len(alpha) > KERNEL_BATCH:
+        alpha0 = np.broadcast_to(np.asarray(spec.alpha0, dtype=float), alpha.shape)
+        rows = [slice(start, start + KERNEL_BATCH) for start in range(0, len(alpha), KERNEL_BATCH)]
+        costs, grads = zip(*(
+            cost_and_gradient(replace(spec, target=target[r], alpha0=alpha0[r]), model, ansatz,
+                              alpha[r]) for r in rows))
+        return np.concatenate(costs), np.concatenate(grads)
     single = alpha.ndim == 1
     alpha = alpha.reshape(-1, ansatz.n_params)
     n_b = len(alpha)

@@ -189,14 +189,15 @@ def test_visit_order_invariant_under_penalty_rescaling():
 def test_round_is_noop_on_converged_uniform_landscape():
     # Every pulse equals its neighbor average and hits its target exactly,
     # so each visit starts at a stationary point and accepts no step.
+    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
     const_family = GateFamily(
         name="const-identity",
         domain_description="anywhere",
+        corners=tuple(map(tuple, pts)),
         model=pc.SINGLE_QUBIT.model,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
         target=lambda t: np.broadcast_to(np.eye(2, dtype=complex), np.shape(t)[:-1] + (2, 2)),
     )
-    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [0.0, 0, 1]])
     ansatz = ControlAnsatz(n_controls=2, n_segments=20)
     refs = [
         pc.ReferencePulse(
@@ -370,6 +371,7 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
     bad_family = GateFamily(
         name="single-qubit",
         domain_description="anywhere",
+        corners=pc.SINGLE_QUBIT.corners,
         model=pc.SINGLE_QUBIT.model,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
         target=lambda t: np.full(np.shape(t)[:-1] + (2, 2), np.nan, dtype=complex),
@@ -468,6 +470,26 @@ def test_initial_round_rejects_a_target_map_without_batches(monkeypatch):
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1))
     with pytest.raises(ValueError, match="must accept a batch"):
         pc.initial_round(cfg)
+
+
+@pytest.mark.parametrize("granularity", [Fraction(1, 3), Fraction(1, 5)])
+def test_chamber_spacing_that_misses_a_corner_is_refused_before_calibrating(granularity):
+    with pytest.raises(ValueError, match=r"misses the corner \(1/2, 1/2, 0\)"):
+        pc.calibrate(pc.CalibConfig(family="weyl-chamber", granularity=granularity))
+
+
+@pytest.mark.parametrize("family,granularity", [
+    ("weyl-chamber", Fraction(1, 6)), ("cartan-box", Fraction(1, 3)),
+    ("single-qubit", Fraction(1, 3)),
+])
+def test_spacing_whose_lattice_holds_every_corner_calibrates_the_whole_domain(family, granularity):
+    cfg = pc.CalibConfig(family=family, granularity=granularity, rounds=1,
+                         opt=pc.OptConfig(max_iter=1))
+    land = pc.calibrate(cfg)
+    assert len(land.log) == 2
+    # The mesh reaches every point of a finer grid: none lies outside it.
+    summary = pc.evaluate_grid(land, granularity / 2)[1]
+    assert summary.count == len(land.family.grid(granularity / 2))
 
 
 def test_config_rejects_bad_values():

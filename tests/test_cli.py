@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pulsecal as pc
+from pulsecal import cli
 from pulsecal.cli import _probe_writable, main
 
 
@@ -86,6 +87,34 @@ def test_non_finite_lambda_is_a_bad_argument(tmp_path, command, lam):
     assert done.returncode == 2
     assert done.stderr.startswith("error: lambda must be finite and non-negative")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("granularity", ["1/3", "1/5"])
+def test_chamber_spacing_that_misses_a_corner_is_a_bad_argument(tmp_path, capsys, monkeypatch,
+                                                                granularity):
+    monkeypatch.setattr(cli, "calibrate", _never_called)
+    out = tmp_path / "land.json"
+    code = main(["calibrate", "--family", "weyl-chamber", "--granularity", granularity,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: granularity {granularity} misses the corner (1/2, 1/2, 0) "
+                          "of family 'weyl-chamber'")
+    assert not out.exists()
+
+
+def test_chamber_sweep_refuses_a_bad_spacing_before_it_calibrates(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "sweep", _never_called)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "weyl-chamber", "--granularities", "1/2,1/3",
+                 "--test-granularity", "1/6", "--csv", str(out)])
+    assert code == 2
+    assert "granularity 1/3 misses the corner (1/2, 1/2, 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called before the arguments were checked")
 
 
 def test_unknown_family_is_an_argparse_error(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 import pulsecal as pc
 from pulsecal.errors import DomainError
@@ -92,6 +93,36 @@ def test_grid_rejects_non_unit_granularity():
         SINGLE_QUBIT.grid(Fraction(2, 3))
     with pytest.raises(ValueError):
         SINGLE_QUBIT.grid(Fraction(0))
+    # A reference spacing meets the same check before its corners are checked.
+    with pytest.raises(ValueError, match="must evenly divide 1"):
+        WEYL_CHAMBER.check_spacing(Fraction(2, 3))
+
+
+@pytest.mark.parametrize("name", sorted(pc.FAMILIES))
+def test_corners_are_exact_extreme_points_of_the_domain(name):
+    family = get_family(name)
+    corners = np.array([[float(c) for c in corner] for corner in family.corners])
+    assert family.contains(corners).all()
+    # The corners span the domain: a fine grid's hull is no larger than theirs.
+    fine = family.grid(Fraction(1, 12))
+    assert ConvexHull(corners).volume == pytest.approx(ConvexHull(fine).volume)
+
+
+@pytest.mark.parametrize("granularity", [Fraction(1, 3), Fraction(1, 5), Fraction(1)])
+def test_chamber_spacing_that_misses_a_corner_is_refused(granularity):
+    message = r"misses the corner \(1/2, 1/2, 0\) of family 'weyl-chamber'"
+    with pytest.raises(ValueError, match=message):
+        WEYL_CHAMBER.check_spacing(granularity)
+
+
+@pytest.mark.parametrize("family,granularity", [
+    (WEYL_CHAMBER, Fraction(1, 2)), (WEYL_CHAMBER, Fraction(1, 6)),
+    (CARTAN_BOX, Fraction(1, 3)), (SINGLE_QUBIT, Fraction(1, 5)), (SINGLE_QUBIT, Fraction(1)),
+])
+def test_spacing_whose_lattice_holds_every_corner_is_accepted(family, granularity):
+    family.check_spacing(granularity)
+    lattice = {tuple(p) for p in family.grid(granularity)}
+    assert {tuple(float(c) for c in corner) for corner in family.corners} <= lattice
 
 
 def test_chamber_grid_is_subset_of_box_grid():

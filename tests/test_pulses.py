@@ -10,6 +10,7 @@ import pulsecal as pc
 from pulsecal.families import CONTROLS_1Q, CONTROLS_2Q
 from pulsecal.linalg import gate_infidelity
 from pulsecal.pulses import (
+    KERNEL_BATCH,
     ControlAnsatz,
     CostSpec,
     HamiltonianModel,
@@ -134,7 +135,7 @@ def test_batched_evolve_equals_single_pulses_bit_for_bit(model, ansatz):
 
 
 @pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
-@pytest.mark.parametrize("n_batch", [1, 7, 64])
+@pytest.mark.parametrize("n_batch", [1, 7, 64, 2 * KERNEL_BATCH + 1])
 def test_evolve_equals_the_segment_by_segment_reference_bit_for_bit(family, n_batch):
     rng = np.random.default_rng(200 + n_batch)
     ansatz = ControlAnsatz(n_controls=family.model.n_controls)
@@ -306,7 +307,7 @@ def _family_points(family, rng, n):
 
 @pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
 @pytest.mark.parametrize("pin", [False, True])
-@pytest.mark.parametrize("n_batch", [1, 7, 43])
+@pytest.mark.parametrize("n_batch", [1, 7, 43, 2 * KERNEL_BATCH + 1])
 def test_batched_cost_and_gradient_equal_single_calls_bit_for_bit(family, pin, n_batch):
     rng = np.random.default_rng(n_batch + 10 * pin)
     ansatz = ControlAnsatz(n_controls=family.model.n_controls)
