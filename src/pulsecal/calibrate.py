@@ -55,7 +55,7 @@ from .families import GateFamily, get_family
 from .linalg import gate_infidelities
 from .mesh import SimplicialMesh, build_mesh, neighbors
 from .optimize import OptConfig, minimize_lockstep, pulse_objective, seeded_init
-from .pulses import ControlAnsatz, CostSpec, evolve, tikhonov_weight
+from .pulses import ControlAnsatz, CostSpec, check_lambda, evolve, tikhonov_weight
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,7 @@ class CalibConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_segments < 1:
             raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
-        # NaN fails both comparisons.
-        if not 0 <= self.lam < float("inf"):
-            raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
+        check_lambda(self.lam)
         # Refused here, before a sweep calibrates anything.
         get_family(self.family).check_spacing(self.granularity)
 

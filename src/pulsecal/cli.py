@@ -32,18 +32,15 @@ from .pulses import evolve
 
 def _fraction(text: str) -> Fraction:
     try:
-        g = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid granularity {text!r}: {exc}") from None
-    if g <= 0:
-        raise ValueError(f"granularity must be positive, got {text!r}")
-    return g
 
 
-def _point(text: str) -> tuple:
+def _point(text: str, n: int) -> tuple:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"point must have 3 comma-separated components, got {text!r}")
+    if len(parts) != n:
+        raise ValueError(f"point must have {n} comma-separated components, got {text!r}")
     try:
         return tuple(float(Fraction(p)) for p in parts)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -125,7 +122,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_interpolate(args) -> int:
     landscape = load_landscape(args.landscape)
-    p = _point(args.point)
+    p = _point(args.point, landscape.family.n_params)
     # Validate family membership first so an out-of-domain point is
     # reported with the violated constraint, not as a mesh-hull miss.
     target = landscape.family.unitary(p)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .calibrate import CalibConfig, Landscape, initial_round, reoptimization_round
 from .errors import DomainError
+from .families import divisions
 from .linalg import gate_infidelities
 from .mesh import locate
 from .pulses import KERNEL_BATCH, evolve
@@ -119,8 +120,9 @@ def sweep(cfg: CalibConfig, test_granularity: Fraction) -> list:
 
     Rounds are applied incrementally to the same landscape, so the
     cumulative iteration counts in consecutive summaries trace the one
-    calibration that ``calibrate(cfg)`` runs.
+    calibration that ``calibrate(cfg)`` runs; a bad test spacing fails first.
     """
+    divisions(test_granularity)
     landscape = initial_round(cfg)
     summaries = []
     for rnd in range(cfg.rounds + 1):

@@ -1,7 +1,7 @@
 """Parameterized gate families and their reference/test grids.
 
-A gate family maps a 3-component parameter point t = (tx, ty, tz) to a
-target unitary. Three families are provided:
+A gate family maps a parameter point t to a target unitary. Three
+families are provided, each on points t = (tx, ty, tz):
 
 * ``weyl-chamber``: two-qubit gates exp(-i*(pi/2)*(tx XX + ty YY + tz ZZ))
   restricted to the tetrahedral cell 0 <= tx <= 1, ty <= min(tx, 1-tx),
@@ -12,14 +12,15 @@ target unitary. Three families are provided:
 
 Each family states its domain once, as ``contains``, which takes one
 point or a batch. A grid is the lattice points a / n that ``contains``
-accepts. A lattice point outside a domain lies at least 1/n outside it,
-far beyond the membership slack and the one rounding of a / n, so point
-counts do not depend on floating-point rounding.
+accepts, for a spacing 1/n that ``divisions`` accepts. A lattice point
+outside a domain lies at least 1/n outside it, far beyond the membership
+slack and the one rounding of a / n, so point counts do not depend on
+floating-point rounding.
 
-Each family also states the corners of its domain, as exact fractions.
-The references' hull is the whole domain only when every corner is a
-reference, so ``check_spacing`` refuses a reference spacing whose
-lattice misses one: the chamber at 1/3 misses (1/2, 1/2, 0).
+Each family also states its corners, as exact fractions, and so its
+parameter count ``n_params``. The references' hull is the whole domain
+only when every corner is a reference, so ``check_spacing`` refuses a
+spacing whose lattice misses one: the chamber at 1/3 misses (1/2, 1/2, 0).
 
 ``GateFamily.unitary`` is the one way to a target, for one point or a
 batch; it checks the points with ``check_domain``, as the loader does.
@@ -102,9 +103,9 @@ class GateFamily:
     """Descriptor bundling a family's name, domain, pulse model and target map.
 
     ``corners`` lists the corners of the domain as exact numbers (ints
-    and Fractions). ``model`` holds the control Hamiltonians, and with
-    them the dimension and the control count. ``contains`` and
-    ``target`` each take one point (3,) or a batch (B, 3): ``contains``
+    and Fractions), n each. ``model`` holds the control Hamiltonians, and
+    with them the dimension and the control count. ``contains`` and
+    ``target`` each take one point (n,) or a batch (B, n): ``contains``
     gives the point's membership, or each row's, and ``target`` the
     point's unitary, or the stack (B, dim, dim).
     """
@@ -116,20 +117,26 @@ class GateFamily:
     contains: Callable[[tuple], bool] = field(repr=False)
     target: Callable[[tuple], np.ndarray] = field(repr=False)
 
+    @property
+    def n_params(self) -> int:
+        """The number of gate parameters: the length of a corner."""
+        return len(self.corners[0])
+
     def check_domain(self, t) -> np.ndarray:
-        """One point (3,) or a batch (B, 3), as floats; DomainError names the first outside."""
+        """One point (n,) or a batch (B, n), as floats; DomainError names the first outside."""
         t = np.asarray(t, dtype=float)
-        if t.ndim not in (1, 2) or t.shape[-1] != 3:
-            raise DomainError(f"points have shape {t.shape}, expected (3,) or (B, 3)")
-        outside = np.flatnonzero(~self.contains(t.reshape(-1, 3)))
+        n = self.n_params
+        if t.ndim not in (1, 2) or t.shape[-1] != n:
+            raise DomainError(f"points have shape {t.shape}, expected ({n},) or (B, {n})")
+        outside = np.flatnonzero(~self.contains(t.reshape(-1, n)))
         if len(outside):
-            p = tuple(float(c) for c in t.reshape(-1, 3)[outside[0]])
+            p = tuple(float(c) for c in t.reshape(-1, n)[outside[0]])
             raise DomainError(f"point {p} outside the domain of family {self.name!r}: "
                               f"requires {self.domain_description}")
         return t
 
     def unitary(self, t) -> np.ndarray:
-        """Target of one point (3,), or the stack (B, dim, dim) of a batch (B, 3)."""
+        """Target of one point (n,), or the stack (B, dim, dim) of a batch (B, n)."""
         t = self.check_domain(t)
         u = self.target(t)
         if np.shape(u) != t.shape[:-1] + (self.model.dim,) * 2:
@@ -142,17 +149,17 @@ class GateFamily:
 
         The lattice is the integer multiples of the granularity inside
         the domain, boundary included. Ordering is lexicographic in
-        (tx, ty, tz), which every other module relies on being stable.
+        the parameters, which every other module relies on being stable.
         """
-        n = _divisions(granularity)
+        n, d = divisions(granularity), self.n_params
         # Float division of the exact integers rounds a / n once, as
         # float(Fraction(a, n)) does.
-        points = np.indices((n + 1,) * 3).reshape(3, -1).T / n
+        points = np.indices((n + 1,) * d).reshape(d, -1).T / n
         return points[self.contains(points)]
 
     def check_spacing(self, granularity: Fraction) -> None:
         """Refuse a reference spacing whose lattice misses a corner of the domain."""
-        n = _divisions(granularity)
+        n = divisions(granularity)
         for corner in self.corners:
             if any((Fraction(c) * n).denominator != 1 for c in corner):
                 raise ValueError(
@@ -162,7 +169,7 @@ class GateFamily:
                 )
 
 
-def _divisions(granularity: Fraction) -> int:
+def divisions(granularity: Fraction) -> int:
     """The n of a spacing 1/n; a spacing that does not divide 1 is refused."""
     g = Fraction(granularity)
     if g <= 0 or (1 / g).denominator != 1:

@@ -6,6 +6,8 @@ fields of ``ControlAnsatz`` and ``RoundRecord``, in field order, and
 read back by one reader that picks each field's parser by its type. A
 loader error names the section or record and the field
 (``log 2: mean_penalty: ...``, ``simplices 4: ...``, ``seed: missing``).
+The loader parses and leaves each rule to its owner: ``check_domain``,
+``check_pulses``, ``check_lambda`` and ``from_simplices``.
 Pulse amplitudes are stored as hex-float strings so reloading reproduces the exact
 binary values and interpolation results survive the file boundary
 bit-for-bit; the remaining floats rely on JSON's shortest-roundtrip
@@ -21,13 +23,11 @@ import math
 from dataclasses import asdict
 from typing import get_type_hints
 
-import numpy as np
-
 from .calibrate import Landscape, ReferencePulse, RoundRecord
 from .errors import DomainError, FormatError
 from .families import get_family
 from .mesh import from_simplices
-from .pulses import ControlAnsatz, check_pulses
+from .pulses import ControlAnsatz, check_lambda, check_pulses
 
 FORMAT_NAME = "pulsecal-landscape"
 FORMAT_VERSION = 1
@@ -143,20 +143,14 @@ def _record(cls, entry, where: str):
 def _reference(entry, where: str, family, ansatz: ControlAnsatz) -> ReferencePulse:
     """One ``"references"`` entry, after evolve's and unitary's own checks.
 
-    A file that loads then also evolves and scores. A non-finite
-    coordinate fails the domain check, which names the domain.
+    A file that loads then also evolves and scores. A point with the
+    wrong count or a non-finite coordinate fails the domain check, and a
+    pulse of the wrong length or out of its box fails evolve's check.
     """
     point = _field(entry, where, "point",
-                   lambda v: np.array([_number(c) for c in _list(v)], dtype=float))
-    if point.shape != (3,):
-        raise FormatError(f"{where}: point has {len(point)} components, expected 3")
+                   lambda v: family.check_domain([_number(c) for c in _list(v)]))
     alpha = _field(entry, where, "alpha_hex",
-                   lambda v: np.array([_hex(h) for h in _list(v)]))
-    if alpha.shape != (ansatz.n_params,):
-        raise FormatError(f"{where}: alpha_hex has {len(alpha)} entries, "
-                          f"expected {ansatz.n_params}")
-    _read(f"{where}: alpha_hex", lambda a: check_pulses(ansatz, a), alpha)
-    _read(f"{where}: point", family.check_domain, point)
+                   lambda v: check_pulses(ansatz, [_hex(h) for h in _list(v)]))
     return ReferencePulse(point, alpha, _field(entry, where, "infidelity", _float),
                           _field(entry, where, "iterations", _count))
 
@@ -180,17 +174,10 @@ def landscape_from_dict(data: dict) -> Landscape:
             )
         references = [_reference(r, f"reference {k}", family, ansatz)
                       for k, r in enumerate(_field(data, "", "references", _list))]
-
-        def simplex(row) -> list:
-            indices = [_count(i) for i in _list(row)]
-            if indices and max(indices) >= len(references):
-                raise FormatError(f"vertex index {max(indices)} out of range")
-            return indices
-
-        simplices = [_read(f"simplices {k}", simplex, row)
+        simplices = [_read(f"simplices {k}", lambda row: [_count(i) for i in _list(row)], row)
                      for k, row in enumerate(_field(data, "", "simplices", _list))]
-        # A degenerate simplex raises DomainError; in a file it is a
-        # format fault.
+        # A bad row (length, index, volume) raises DomainError; in a file
+        # it is a format fault.
         mesh = from_simplices([ref.point for ref in references], simplices)
         log = [_record(RoundRecord, rec, f"log {k}")
                for k, rec in enumerate(_field(data, "", "log", _list))]
@@ -201,10 +188,7 @@ def landscape_from_dict(data: dict) -> Landscape:
         for k, rec in enumerate(log):
             if rec.round != k:
                 raise FormatError(f"log {k}: round: expected {k}, got {rec.round}")
-        # CalibConfig's rule: finite (_float) and non-negative.
-        lam = _field(data, "", "lambda", _float)
-        if lam < 0:
-            raise FormatError(f"lambda: expected a non-negative number, got {lam!r}")
+        lam = _field(data, "", "lambda", lambda v: check_lambda(_number(v)))
         seed = _field(data, "", "seed", _count)
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc

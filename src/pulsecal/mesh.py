@@ -4,9 +4,9 @@ Construction delegates to scipy's Delaunay triangulation. Regular
 parameter grids are maximally degenerate for Delaunay (many co-spherical
 point groups), so the points are perturbed by a tiny deterministic
 jitter before triangulating; simplex volumes are then re-checked on the
-*unperturbed* coordinates and slivers dropped. The result is stored in a
-canonical form (sorted vertex tuples, lexicographically ordered rows) so
-identical inputs give bit-identical meshes.
+*unperturbed* coordinates and slivers dropped. ``from_simplices`` checks
+each row and stores the rows canonically (sorted vertex tuples in
+lexicographic order), so identical inputs give bit-identical meshes.
 
 Point location goes through a uniform cell index over the vertices'
 bounding box, with about m^(1/d) cells per axis for m simplices. Every
@@ -159,18 +159,24 @@ def from_simplices(vertices, simplices) -> SimplicialMesh:
     """Assemble a mesh from explicit vertex-index rows.
 
     Used when reloading a stored landscape, so interpolation never
-    depends on re-triangulating. Rows are canonicalized the same way
-    build_mesh emits them.
+    depends on re-triangulating; a bad row's DomainError names it. Rows
+    are canonicalized the same way build_mesh emits them.
     """
     vertices = np.asarray(vertices, dtype=float)
-    simplices = np.asarray(simplices, dtype=int)
-    if vertices.ndim != 2 or simplices.ndim != 2:
-        raise DomainError("vertices and simplices must be 2-d arrays")
+    if vertices.ndim != 2:
+        raise DomainError("vertices must be a 2-d array")
     n, d = vertices.shape
-    if simplices.shape[1] != d + 1:
-        raise DomainError(f"simplices must have {d + 1} vertices each")
-    if simplices.min() < 0 or simplices.max() >= n:
-        raise DomainError("simplex vertex index out of range")
+    for k, row in enumerate(simplices):
+        if len(row) != d + 1:
+            raise DomainError(f"simplices {k}: {len(row)} vertices, expected {d + 1}")
+    rows = np.asarray(simplices)  # object dtype if an index overflows int64
+    if rows.ndim != 2:
+        raise DomainError("simplices must be a 2-d array")
+    outside = np.argwhere((rows < 0) | (rows >= n))
+    if len(outside):
+        k, a = outside[0]
+        raise DomainError(f"simplices {k}: vertex index {rows[k, a]} out of range")
+    simplices = rows.astype(int)
     if np.any(_simplex_volumes(vertices, simplices) <= _MIN_VOLUME):
         raise DomainError("degenerate simplex (volume below threshold)")
     simplices = np.sort(simplices, axis=1)

@@ -138,11 +138,16 @@ class HamiltonianModel:
         return cols, vals
 
 
+def check_lambda(lam: float) -> float:
+    """lam, which must be finite and >= 0: a scalar test, as every kernel call makes it."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
+    return lam
+
+
 def tikhonov_weight(lam: float, ansatz: ControlAnsatz) -> float:
     """Normalized regularization weight lam / (n_f * n_p * alpha_max^2)."""
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    return lam / (ansatz.n_controls * ansatz.n_segments * ansatz.alpha_max**2)
+    return check_lambda(lam) / (ansatz.n_controls * ansatz.n_segments * ansatz.alpha_max**2)
 
 
 @dataclass(frozen=True)
@@ -318,7 +323,7 @@ def cost_and_gradient(
     else:
         grad_infid = (-2.0 / dim**2) * np.real(np.conj(overlaps)[:, None, None] * t_all)
 
-    grad = grad_infid.reshape(n_b, -1) + 2.0 * lam_tilde * dev
+    grad = grad_infid.reshape(alpha.shape) + 2.0 * lam_tilde * dev
     if single:
         return j[0], grad[0]
     return np.array(j), grad

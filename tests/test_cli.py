@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pulsecal as pc
-from pulsecal import cli
+from pulsecal import cli, evaluate
 from pulsecal.cli import _probe_writable, main
 
 
@@ -110,6 +110,20 @@ def test_chamber_sweep_refuses_a_bad_spacing_before_it_calibrates(tmp_path, caps
                  "--test-granularity", "1/6", "--csv", str(out)])
     assert code == 2
     assert "granularity 1/3 misses the corner (1/2, 1/2, 0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("test_granularity", ["2/3", "0"])
+def test_sweep_refuses_a_test_spacing_that_does_not_divide_one_before_it_calibrates(
+    tmp_path, capsys, monkeypatch, test_granularity
+):
+    monkeypatch.setattr(evaluate, "initial_round", _never_called)
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--family", "single-qubit", "--granularities", "1/4", "--max-rounds", "1",
+                 "--test-granularity", test_granularity, "--csv", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: granularity must evenly divide 1, got {test_granularity}\n")
     assert not out.exists()
 
 
@@ -369,10 +383,11 @@ def test_interpolate_out_of_domain_names_the_constraint(landscape_file, capsys):
 
 @pytest.mark.parametrize(
     "point,message",
-    [("1,2", "3 comma-separated components"),
+    [("1,2", "point must have 3 comma-separated components, got '1,2'"),
+     ("1,2,3,4", "point must have 3 comma-separated components, got '1,2,3,4'"),
      ("1/0,0,0", "invalid point '1/0,0,0'"),
      ("1e400,0,0", "invalid point '1e400,0,0'")],
-    ids=["too-few-components", "zero-denominator", "overflow"],
+    ids=["too-few-components", "too-many-components", "zero-denominator", "overflow"],
 )
 def test_interpolate_malformed_point(landscape_file, capsys, point, message):
     code = main([

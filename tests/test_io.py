@@ -77,6 +77,47 @@ def test_every_family_round_trips_bit_for_bit(family, granularity, tmp_path):
         assert a.alpha.tobytes() == b.alpha.tobytes()
 
 
+def _square_target(t):
+    """single_qubit_unitary((a, b, 0)) of one point (2,) or a batch (B, 2)."""
+    t = np.asarray(t, dtype=float)
+    return pc.single_qubit_unitary(np.concatenate([t, np.zeros(t.shape[:-1] + (1,))], axis=-1))
+
+
+# A 2-parameter family on the unit square, known to these tests only.
+_SQUARE = pc.GateFamily(
+    name="single-qubit-square",
+    domain_description="the unit square 0 <= a, b <= 1",
+    corners=((0, 0), (1, 0), (0, 1), (1, 1)),
+    model=pc.SINGLE_QUBIT.model,
+    contains=lambda t: ((-1e-9 <= t) & (t <= 1 + 1e-9)).all(axis=-1),
+    target=_square_target,
+)
+
+
+def test_a_two_parameter_family_calibrates_round_trips_and_serves(monkeypatch, tmp_path, capsys):
+    # The family alone states its parameter count: registering it is all
+    # that calibration, the file and the command line need.
+    monkeypatch.setitem(pc.FAMILIES, _SQUARE.name, _SQUARE)
+    land = pc.calibrate(pc.CalibConfig(family=_SQUARE.name, granularity=Fraction(1, 4), rounds=1))
+    assert land.points.shape == (25, 2)
+    path = tmp_path / "square.json"
+    pc.save_landscape(land, path)
+    loaded = pc.load_landscape(path)
+    assert landscape_to_dict(loaded) == landscape_to_dict(land)
+    for a, b in zip(land.references, loaded.references):
+        assert a.point.tobytes() == b.point.tobytes()
+        assert a.alpha.tobytes() == b.alpha.tobytes()
+
+    assert main(["interpolate", "--landscape", str(path), "--point", "1/4,1/3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["point"] == [0.25, 1 / 3]
+    alpha = np.array([float.fromhex(h) for h in payload["alpha_hex"]])
+    assert alpha.tobytes() == pc.interpolate(land, (0.25, 1 / 3)).tobytes()
+    assert payload["infidelity"] < 1e-3
+    assert main(["interpolate", "--landscape", str(path), "--point", "1/4,1/3,0"]) == 2
+    assert "point must have 2 comma-separated components" in capsys.readouterr().err
+
+
 def test_header_is_self_describing(saved):
     data = json.loads(saved.read_text())
     assert data["format"] == FORMAT_NAME == "pulsecal-landscape"
@@ -118,7 +159,8 @@ def _exits_4(data, tmp_path) -> bool:
 def test_rejects_pulse_length_mismatch(saved, tmp_path):
     data = json.loads(saved.read_text())
     data["references"][5]["alpha_hex"] = data["references"][5]["alpha_hex"][:-1]
-    with pytest.raises(FormatError, match=r"^reference 5: alpha_hex has 39 entries, expected 40$"):
+    message = r"^reference 5: alpha_hex: alpha has shape \(39,\), expected \(40,\) or \(B, 40\)$"
+    with pytest.raises(FormatError, match=message):
         landscape_from_dict(data)
     assert _exits_4(data, tmp_path)
 
@@ -177,20 +219,28 @@ _TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "
         (_set(("simplices", 4), "0 1 2 3"), r"^simplices 4: expected an array, got str$"),
         (_set(("simplices", 4, 0), -1), r"^simplices 4: expected a non-negative integer, got -1$"),
         (_set(("lambda",), "x"), r"^lambda: expected a number, got 'x'$"),
-        (_set(("lambda",), -1.0), r"^lambda: expected a non-negative number, got -1\.0$"),
-        (_set(("lambda",), float("inf")), r"^lambda: expected a finite number, got inf$"),
+        (_set(("lambda",), -1.0), r"^lambda: lambda must be finite and non-negative, got -1\.0$"),
+        (_set(("lambda",), float("inf")), r"^lambda: lambda must be finite and non-negative, got inf$"),
+        (_set(("lambda",), float("nan")), r"^lambda: lambda must be finite and non-negative, got nan$"),
         (_set(("seed",), "x"), r"^seed: expected an integer, got 'x'$"),
         (_set(("seed",), -1), r"^seed: expected a non-negative integer, got -1$"),
-        (_set(("simplices", 4, 3), 99), r"^simplices 4: vertex index 99 out of range$"),
-        (_set(("simplices", 4, 0), 2**70), r"^simplices 4: vertex index \d+ out of range$"),
+        (_set(("simplices", 4, 3), 99),
+         r"^malformed landscape file: simplices 4: vertex index 99 out of range$"),
+        (_set(("simplices", 4, 0), 2**70),
+         r"^malformed landscape file: simplices 4: vertex index \d+ out of range$"),
+        (_set(("simplices", 4), [0, 1, 2]),
+         r"^malformed landscape file: simplices 4: 3 vertices, expected 4$"),
+        (_set(("simplices", 4), [0, 1, 2, 3, 4]),
+         r"^malformed landscape file: simplices 4: 5 vertices, expected 4$"),
         (_set(("references",), "x"), r"^references: expected an array, got str$"),
         *((_drop(key), rf"^{key}: missing$") for key in _TOP_LEVEL),
     ],
     ids=["ansatz-fraction", "ansatz-zero", "ansatz-missing", "log-string", "log-list", "log-round",
          "reference-null", "reference-hex", "reference-amplitude", "reference-domain",
          "reference-iterations", "log-cumulative", "simplices-fraction", "simplices-string",
-         "simplices-negative", "lambda-string", "lambda-negative", "lambda-infinite", "seed-string",
-         "seed-negative", "simplices-range", "simplices-huge", "references-string",
+         "simplices-negative", "lambda-string", "lambda-negative", "lambda-infinite", "lambda-nan",
+         "seed-string", "seed-negative", "simplices-range", "simplices-huge", "simplices-short",
+         "simplices-long", "references-string",
          *(f"no-{key}" for key in _TOP_LEVEL)],
 )
 def test_loader_errors_name_the_record_and_the_field(saved, tmp_path, edit, message):
@@ -235,7 +285,7 @@ def test_rejects_a_point_with_the_wrong_component_count(saved, tmp_path, compone
     data = json.loads(saved.read_text())
     ref = data["references"][3]
     ref["point"] = (ref["point"] + [0.0])[:components]
-    message = rf"^reference 3: point has {components} components, expected 3$"
+    message = rf"^reference 3: point: points have shape \({components},\), expected \(3,\) or \(B, 3\)$"
     with pytest.raises(FormatError, match=message):
         landscape_from_dict(data)
     path = tmp_path / "bad.json"

@@ -54,6 +54,13 @@ def test_tikhonov_weight_rejects_negative_lambda():
         tikhonov_weight(-1e-3, ANSATZ_1Q)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_tikhonov_weight_refuses_lambda_that_is_not_finite_and_non_negative(lam):
+    # The rule CalibConfig and the landscape loader apply too.
+    with pytest.raises(ValueError, match=rf"^lambda must be finite and non-negative, got {lam}$"):
+        tikhonov_weight(lam, ANSATZ_1Q)
+
+
 # -- time evolution ---------------------------------------------------------
 
 def test_evolve_zero_pulse_is_identity():
@@ -307,7 +314,7 @@ def _family_points(family, rng, n):
 
 @pytest.mark.parametrize("family", list(pc.FAMILIES.values()), ids=list(pc.FAMILIES))
 @pytest.mark.parametrize("pin", [False, True])
-@pytest.mark.parametrize("n_batch", [1, 7, 43, 2 * KERNEL_BATCH + 1])
+@pytest.mark.parametrize("n_batch", [0, 1, 7, 43, 2 * KERNEL_BATCH + 1])
 def test_batched_cost_and_gradient_equal_single_calls_bit_for_bit(family, pin, n_batch):
     rng = np.random.default_rng(n_batch + 10 * pin)
     ansatz = ControlAnsatz(n_controls=family.model.n_controls)
@@ -315,8 +322,8 @@ def test_batched_cost_and_gradient_equal_single_calls_bit_for_bit(family, pin, n
     anchors = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
     alphas = rng.uniform(-1, 1, (n_batch, ansatz.n_params))
     # Pulses that sit on the amplitude bound, wholly or in part.
-    alphas[0, ::3] = 1.0
-    alphas[-1, 1::4] = -1.0
+    alphas[:1, ::3] = 1.0
+    alphas[-1:, 1::4] = -1.0
     if n_batch > 2:
         alphas[1] = np.where(alphas[1] > 0, 1.0, -1.0)
     spec = CostSpec(target=targets, lam=1e-2, alpha0=anchors, pin_branch=pin)
