@@ -33,9 +33,7 @@ from .families import (
     SINGLE_QUBIT,
     WEYL_CHAMBER,
     GateFamily,
-    cartan_unitary,
     get_family,
-    single_qubit_unitary,
 )
 from .io import load_landscape, save_landscape
 from .linalg import expm_hermitian, gate_infidelity
@@ -91,7 +89,6 @@ __all__ = [
     "SimplicialMesh",
     "build_mesh",
     "calibrate",
-    "cartan_unitary",
     "cost_and_gradient",
     "evaluate_grid",
     "evolve",
@@ -113,7 +110,6 @@ __all__ = [
     "reoptimization_round",
     "save_landscape",
     "seeded_init",
-    "single_qubit_unitary",
     "sweep",
     "tikhonov_weight",
     "visit_order",

@@ -108,7 +108,7 @@ def cmd_evaluate(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["tx", "ty", "tz", "infidelity", "simplex"])
+            writer.writerow([*landscape.family.param_names, "infidelity", "simplex"])
             for r in records:
                 writer.writerow([repr(float(c)) for c in r.point]
                                 + [repr(r.infidelity), r.simplex])
@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interpolate", help="query the pulse for one parameter point")
     p.add_argument("--landscape", required=True)
-    p.add_argument("--point", required=True, help="tx,ty,tz")
+    p.add_argument("--point", required=True,
+                   help="the gate's parameters, comma-separated, one per family parameter")
     p.add_argument("--out", default=None, help="pulse JSON output path")
     p.set_defaults(fn=cmd_interpolate)
 

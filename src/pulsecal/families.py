@@ -1,13 +1,14 @@
 """Parameterized gate families and their reference/test grids.
 
-A gate family maps a parameter point t to a target unitary. Three
+A gate family is data: one Hermitian generator G_k per gate parameter,
+and the target of a point t is exp(-i*(pi/2)*sum_k t_k G_k). Three
 families are provided, each on points t = (tx, ty, tz):
 
 * ``weyl-chamber``: two-qubit gates exp(-i*(pi/2)*(tx XX + ty YY + tz ZZ))
   restricted to the tetrahedral cell 0 <= tx <= 1, ty <= min(tx, 1-tx),
   0 <= tz <= ty, which contains one representative per local-equivalence
   class of two-qubit gates.
-* ``cartan-box``: the same map on the full cube [0,1]^3.
+* ``cartan-box``: the same generators on the full cube [0,1]^3.
 * ``single-qubit``: exp(-i*(pi/2)*(tx sx + ty sy + tz sz)) on [0,1]^3.
 
 Each family states its domain once, as ``contains``, which takes one
@@ -17,15 +18,17 @@ outside a domain lies at least 1/n outside it, far beyond the membership
 slack and the one rounding of a / n, so point counts do not depend on
 floating-point rounding.
 
-Each family also states its corners, as exact fractions, and so its
-parameter count ``n_params``. The references' hull is the whole domain
-only when every corner is a reference, so ``check_spacing`` refuses a
-spacing whose lattice misses one: the chamber at 1/3 misses (1/2, 1/2, 0).
+Each family names its parameters, ``param_names``, and is refused when
+it is built unless it has one generator per parameter and each corner
+of its domain (exact fractions) one entry per parameter. The references'
+hull is the whole domain only when every corner is a reference, so
+``check_spacing`` refuses a spacing whose lattice misses one: the
+chamber at 1/3 misses (1/2, 1/2, 0).
 
-``GateFamily.unitary`` is the one way to a target, for one point or a
-batch; it checks the points with ``check_domain``, as the loader does.
-Each family holds its pulse model, built once: ``family.model.dim`` and
-``family.model.n_controls`` are read off its controls.
+``GateFamily.unitary`` is the one checked way to a target, for one point
+or a batch; it checks the points with ``check_domain``, as the loader
+does. Each family holds its pulse model, built once: ``family.model.dim``
+and ``family.model.n_controls`` are read off its controls.
 """
 
 from __future__ import annotations
@@ -54,30 +57,6 @@ CONTROLS_2Q = np.stack(
 CONTROLS_1Q = np.stack([SY, SZ])
 
 
-def _components(t):
-    """tx, ty, tz of one point (3,) or a batch (B, 3), shaped to scale matrices."""
-    t = np.asarray(t, dtype=float)
-    return (t[..., k, None, None] for k in range(3))
-
-
-def cartan_unitary(t) -> np.ndarray:
-    """Two-qubit target exp(-i*(pi/2)*(tx XX + ty YY + tz ZZ)).
-
-    A batch of points (B, 3) gives the stack (B, 4, 4) of their targets.
-    """
-    tx, ty, tz = _components(t)
-    return expm_hermitian((np.pi / 2) * (tx * XX + ty * YY + tz * ZZ))
-
-
-def single_qubit_unitary(t) -> np.ndarray:
-    """Single-qubit target exp(-i*(pi/2)*(tx sx + ty sy + tz sz)).
-
-    A batch of points (B, 3) gives the stack (B, 2, 2) of their targets.
-    """
-    tx, ty, tz = _components(t)
-    return expm_hermitian((np.pi / 2) * (tx * SX + ty * SY + tz * SZ))
-
-
 # Membership slack: queries usually arrive as floats, where boundary
 # points can land a few ulp outside the exact domain (e.g. ty == 1 - tx
 # evaluated at tx = 7/12). The slack is far below any lattice spacing,
@@ -100,27 +79,39 @@ def _in_chamber(t):
 
 @dataclass(frozen=True)
 class GateFamily:
-    """Descriptor bundling a family's name, domain, pulse model and target map.
+    """A gate family as data: its name, domain, pulse model and generators.
 
-    ``corners`` lists the corners of the domain as exact numbers (ints
-    and Fractions), n each. ``model`` holds the control Hamiltonians, and
-    with them the dimension and the control count. ``contains`` and
-    ``target`` each take one point (n,) or a batch (B, n): ``contains``
-    gives the point's membership, or each row's, and ``target`` the
-    point's unitary, or the stack (B, dim, dim).
+    ``param_names`` names the n gate parameters. ``corners`` lists the
+    corners of the domain as exact numbers (ints and Fractions), n each.
+    ``model`` holds the control Hamiltonians, and with them the dimension
+    and the control count; ``generators`` (n, dim, dim), one Hermitian
+    matrix per parameter. ``contains`` takes one point (n,) or a batch
+    (B, n) and gives the point's membership, or each row's.
     """
 
     name: str
     domain_description: str
+    param_names: tuple
     corners: tuple = field(repr=False)
     model: HamiltonianModel = field(repr=False)
     contains: Callable[[tuple], bool] = field(repr=False)
-    target: Callable[[tuple], np.ndarray] = field(repr=False)
+    generators: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        """Refuse generators or corners that do not have one entry per parameter."""
+        n, dim = self.n_params, self.model.dim
+        if np.shape(self.generators) != (n, dim, dim):
+            raise ValueError(f"family {self.name!r}: generators have shape "
+                             f"{np.shape(self.generators)}, expected {(n, dim, dim)}")
+        for corner in self.corners:
+            if len(corner) != n:
+                raise ValueError(f"family {self.name!r}: corner {corner} has "
+                                 f"{len(corner)} entries, expected {n}")
 
     @property
     def n_params(self) -> int:
-        """The number of gate parameters: the length of a corner."""
-        return len(self.corners[0])
+        """The number of gate parameters: the length of ``param_names``."""
+        return len(self.param_names)
 
     def check_domain(self, t) -> np.ndarray:
         """One point (n,) or a batch (B, n), as floats; DomainError names the first outside."""
@@ -135,14 +126,13 @@ class GateFamily:
                               f"requires {self.domain_description}")
         return t
 
+    def target(self, t) -> np.ndarray:
+        """exp(-i*(pi/2)*sum_k t_k G_k) of one point (n,) or a batch (B, n), unchecked."""
+        return expm_hermitian((np.pi / 2) * np.tensordot(t, self.generators, 1))
+
     def unitary(self, t) -> np.ndarray:
         """Target of one point (n,), or the stack (B, dim, dim) of a batch (B, n)."""
-        t = self.check_domain(t)
-        u = self.target(t)
-        if np.shape(u) != t.shape[:-1] + (self.model.dim,) * 2:
-            raise ValueError(f"family {self.name!r} gave targets of shape {np.shape(u)} "
-                             f"for points of shape {t.shape}; its target must accept a batch")
-        return u
+        return self.target(self.check_domain(t))
 
     def grid(self, granularity: Fraction) -> np.ndarray:
         """All domain lattice points with spacing ``granularity``, as floats.
@@ -184,28 +174,31 @@ _CUBE_CORNERS = tuple(itertools.product((0, 1), repeat=3))
 WEYL_CHAMBER = GateFamily(
     name="weyl-chamber",
     domain_description="0 <= tz <= ty <= min(tx, 1 - tx) with 0 <= tx <= 1",
+    param_names=("tx", "ty", "tz"),
     corners=((0, 0, 0), (1, 0, 0), (_HALF, _HALF, 0), (_HALF, _HALF, _HALF)),
     model=HamiltonianModel(controls=CONTROLS_2Q),
     contains=_in_chamber,
-    target=cartan_unitary,
+    generators=np.stack([XX, YY, ZZ]),
 )
 
 CARTAN_BOX = GateFamily(
     name="cartan-box",
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
+    param_names=("tx", "ty", "tz"),
     corners=_CUBE_CORNERS,
     model=HamiltonianModel(controls=CONTROLS_2Q),
     contains=_in_box,
-    target=cartan_unitary,
+    generators=np.stack([XX, YY, ZZ]),
 )
 
 SINGLE_QUBIT = GateFamily(
     name="single-qubit",
     domain_description="the unit cube 0 <= tx, ty, tz <= 1",
+    param_names=("tx", "ty", "tz"),
     corners=_CUBE_CORNERS,
     model=HamiltonianModel(controls=CONTROLS_1Q),
     contains=_in_box,
-    target=single_qubit_unitary,
+    generators=np.stack([SX, SY, SZ]),
 )
 
 FAMILIES = {f.name: f for f in (WEYL_CHAMBER, CARTAN_BOX, SINGLE_QUBIT)}

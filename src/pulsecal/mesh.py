@@ -160,7 +160,8 @@ def from_simplices(vertices, simplices) -> SimplicialMesh:
 
     Used when reloading a stored landscape, so interpolation never
     depends on re-triangulating; a bad row's DomainError names it. Rows
-    are canonicalized the same way build_mesh emits them.
+    are canonicalized the same way build_mesh emits them, and a row
+    that repeats another in any vertex order is refused.
     """
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim != 2:
@@ -180,7 +181,14 @@ def from_simplices(vertices, simplices) -> SimplicialMesh:
     if np.any(_simplex_volumes(vertices, simplices) <= _MIN_VOLUME):
         raise DomainError("degenerate simplex (volume below threshold)")
     simplices = np.sort(simplices, axis=1)
-    simplices = simplices[np.lexsort(simplices.T[::-1])]
+    order = np.lexsort(simplices.T[::-1])
+    simplices = simplices[order]
+    # Sorting puts equal rows side by side, and the stable sort keeps each
+    # after the rows it repeats; the error names the first repeat stored.
+    repeats = np.flatnonzero((simplices[1:] == simplices[:-1]).all(axis=1))
+    if len(repeats):
+        first = repeats[np.argmin(order[repeats + 1])]
+        raise DomainError(f"simplices {order[first + 1]}: repeats simplices {order[first]}")
 
     origins = vertices[simplices[:, 0]]
     spans = (vertices[simplices[:, 1:]] - origins[:, None, :]).transpose(0, 2, 1)

@@ -1,6 +1,8 @@
-"""Checks on unitaries that only the tests use."""
+"""Checks on unitaries, and the three-term target formulas, that only the tests use."""
 
 import numpy as np
+
+from pulsecal.linalg import SX, SY, SZ, expm_hermitian
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
@@ -19,3 +21,22 @@ def su_branch(u: np.ndarray, v: np.ndarray) -> int:
     dim = u.shape[-1]
     tr = np.trace(v.conj().T @ u)
     return int(np.round(np.angle(tr) * dim / (2 * np.pi))) % dim
+
+
+def _terms(t):
+    """tx, ty, tz of one point (3,) or a batch (B, 3), shaped to scale matrices."""
+    t = np.asarray(t, dtype=float)
+    return (t[..., k, None, None] for k in range(3))
+
+
+def cartan_target(t) -> np.ndarray:
+    """exp(-i*(pi/2)*(tx XX + ty YY + tz ZZ)), summed term by term."""
+    xx, yy, zz = (np.kron(p, p) for p in (SX, SY, SZ))
+    tx, ty, tz = _terms(t)
+    return expm_hermitian((np.pi / 2) * (tx * xx + ty * yy + tz * zz))
+
+
+def pauli_target(t) -> np.ndarray:
+    """exp(-i*(pi/2)*(tx sx + ty sy + tz sz)), summed term by term."""
+    tx, ty, tz = _terms(t)
+    return expm_hermitian((np.pi / 2) * (tx * SX + ty * SY + tz * SZ))

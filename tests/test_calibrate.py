@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import re
 from fractions import Fraction
@@ -193,10 +192,11 @@ def test_round_is_noop_on_converged_uniform_landscape():
     const_family = GateFamily(
         name="const-identity",
         domain_description="anywhere",
+        param_names=("tx", "ty", "tz"),
         corners=tuple(map(tuple, pts)),
         model=pc.SINGLE_QUBIT.model,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
-        target=lambda t: np.broadcast_to(np.eye(2, dtype=complex), np.shape(t)[:-1] + (2, 2)),
+        generators=np.zeros((3, 2, 2)),
     )
     ansatz = ControlAnsatz(n_controls=2, n_segments=20)
     refs = [
@@ -371,10 +371,11 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
     bad_family = GateFamily(
         name="single-qubit",
         domain_description="anywhere",
+        param_names=("tx", "ty", "tz"),
         corners=pc.SINGLE_QUBIT.corners,
         model=pc.SINGLE_QUBIT.model,
         contains=lambda t: np.ones(np.shape(t)[:-1], dtype=bool),
-        target=lambda t: np.full(np.shape(t)[:-1] + (2, 2), np.nan, dtype=complex),
+        generators=np.full((3, 2, 2), np.nan),
     )
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
     if stage == "initial":
@@ -393,15 +394,23 @@ def test_optimization_failure_names_the_reference_point(monkeypatch, stage):
         run()
 
 
+def _nan_target_at(points):
+    """The single-qubit family, with a NaN target at each of ``points``."""
+    bad = np.array(list(points), dtype=float)
+
+    class NanAt(GateFamily):
+        def target(self, t):
+            u = super().target(t)
+            u[(np.asarray(t)[..., None, :] == bad).all(axis=-1).any(axis=-1)] = np.nan
+            return u
+
+    return NanAt(**vars(pc.SINGLE_QUBIT))
+
+
 def test_initial_failure_at_a_later_point_names_that_point(monkeypatch):
     # Only the reference at (1, 1, 0), the seventh of eight, fails; the
     # others of its lockstep batch start fine.
-    def target(t):
-        u = pc.single_qubit_unitary(t)
-        u[(np.asarray(t) == (1.0, 1.0, 0.0)).all(axis=-1)] = np.nan
-        return u
-
-    bad_family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
+    bad_family = _nan_target_at([(1.0, 1.0, 0.0)])
     monkeypatch.setattr(calibrate_mod, "get_family", lambda name: bad_family)
     cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), seed=3)
     message = r"^initial optimization failed at reference point \(1.0, 1.0, 0.0\): non-finite"
@@ -416,14 +425,7 @@ def test_coordination_failure_not_first_in_its_wave_names_that_point():
     land = pc.initial_round(cfg)
     order = pc.visit_order([pc.neighbor_penalty(land, i) for i in range(len(land.references))])
     wave = next(w for w in calibrate_mod._waves(land.mesh, order) if len(w) >= 3)
-    failing = {tuple(land.references[i].point) for i in wave[1:3]}
-
-    def target(t):
-        u = pc.single_qubit_unitary(t)
-        u[[tuple(p) in failing for p in t]] = np.nan
-        return u
-
-    land.family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
+    land.family = _nan_target_at(land.references[i].point for i in wave[1:3])
     where = re.escape(str(tuple(float(c) for c in land.references[wave[1]].point)))
     with pytest.raises(OptimizationError, match=rf"^re-optimization failed at reference point {where}: non-finite"):
         pc.reoptimization_round(land, cfg.opt)
@@ -441,13 +443,7 @@ def test_coordination_failure_keeps_the_failing_wave_and_the_log():
     bad_point = tuple(land.references[waves[failing][1]].point)
     unbroken = pc.reoptimization_round(pc.initial_round(cfg), cfg.opt)
     before, log = list(land.references), list(land.log)
-
-    def target(t):
-        u = pc.single_qubit_unitary(t)
-        u[[tuple(p) == bad_point for p in t]] = np.nan
-        return u
-
-    land.family = dataclasses.replace(pc.SINGLE_QUBIT, target=target)
+    land.family = _nan_target_at([bad_point])
     where = re.escape(str(tuple(float(c) for c in bad_point)))
     with pytest.raises(OptimizationError, match=rf"^re-optimization failed at reference point {where}"):
         pc.reoptimization_round(land, cfg.opt)
@@ -462,14 +458,6 @@ def test_coordination_failure_keeps_the_failing_wave_and_the_log():
                 assert ref.cumulative_iterations == unbroken.references[i].cumulative_iterations
             else:
                 assert ref is before[i]
-
-
-def test_initial_round_rejects_a_target_map_without_batches(monkeypatch):
-    family = dataclasses.replace(pc.SINGLE_QUBIT, target=lambda t: np.eye(2, dtype=complex))
-    monkeypatch.setattr(calibrate_mod, "get_family", lambda name: family)
-    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1))
-    with pytest.raises(ValueError, match="must accept a batch"):
-        pc.initial_round(cfg)
 
 
 @pytest.mark.parametrize("granularity", [Fraction(1, 3), Fraction(1, 5)])

@@ -108,15 +108,6 @@ def test_evaluation_scores_against_family_target(small_landscape):
         assert rec.simplex == locate(land.mesh, rec.point).simplex
 
 
-def test_evaluation_rejects_a_target_map_without_batches(small_landscape):
-    family = dataclasses.replace(
-        small_landscape.family, target=lambda t: np.eye(2, dtype=complex)
-    )
-    land = dataclasses.replace(small_landscape, family=family)
-    with pytest.raises(ValueError, match="must accept a batch"):
-        pc.evaluate_grid(land, Fraction(1, 2))
-
-
 def test_interpolate_many_equals_interpolate_row_by_row(small_landscape):
     land = small_landscape
     rng = np.random.default_rng(4)

@@ -11,7 +11,7 @@ from pulsecal.errors import DomainError
 from pulsecal.families import CARTAN_BOX, SINGLE_QUBIT, WEYL_CHAMBER, get_family
 from pulsecal.linalg import expm_hermitian
 
-from gate_checks import is_unitary
+from gate_checks import cartan_target, is_unitary, pauli_target
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -223,6 +223,36 @@ def test_contains_on_a_batch_equals_each_point(name, points):
 
 
 # -- target unitaries -------------------------------------------------------
+
+@pytest.mark.parametrize("family,reference", [
+    (WEYL_CHAMBER, cartan_target), (CARTAN_BOX, cartan_target), (SINGLE_QUBIT, pauli_target),
+], ids=["weyl-chamber", "cartan-box", "single-qubit"])
+def test_targets_equal_the_three_term_formulas_bit_for_bit(family, reference):
+    points = np.concatenate([
+        family.grid(Fraction(1, 24)), np.random.default_rng(19).random((2000, 3)),
+    ])
+    assert family.target(points).tobytes() == reference(points).tobytes()
+    for p in points[::97]:
+        assert family.target(p).tobytes() == reference(p).tobytes()
+
+
+def _family(**changes):
+    fields = dict(vars(SINGLE_QUBIT), name="probe")
+    return pc.GateFamily(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"generators": np.stack([SX, SY])}, r"generators have shape \(2, 2, 2\), expected \(3, 2, 2\)"),
+    ({"generators": CARTAN_BOX.generators}, r"generators have shape \(3, 4, 4\), expected \(3, 2, 2\)"),
+    ({"param_names": ("a", "b")}, r"generators have shape \(3, 2, 2\), expected \(2, 2, 2\)"),
+    ({"corners": ((0, 0, 0), (1, 0), (0, 1, 0), (0, 0, 1))},
+     r"corner \(1, 0\) has 2 entries, expected 3"),
+], ids=["generator-count", "generator-dimension", "names-count", "corner-length"])
+def test_family_refuses_generators_and_corners_that_miss_its_parameter_count(changes, message):
+    with pytest.raises(ValueError, match=rf"^family 'probe': {message}$"):
+        _family(**changes)
+    assert _family().n_params == 3
+
 
 def test_unitary_raises_outside_domain():
     with pytest.raises(DomainError):

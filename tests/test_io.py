@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import json
 from fractions import Fraction
@@ -17,6 +18,7 @@ from pulsecal.io import (
     landscape_from_dict,
     landscape_to_dict,
 )
+from pulsecal.linalg import SX, SY
 
 
 @pytest.fixture()
@@ -77,20 +79,15 @@ def test_every_family_round_trips_bit_for_bit(family, granularity, tmp_path):
         assert a.alpha.tobytes() == b.alpha.tobytes()
 
 
-def _square_target(t):
-    """single_qubit_unitary((a, b, 0)) of one point (2,) or a batch (B, 2)."""
-    t = np.asarray(t, dtype=float)
-    return pc.single_qubit_unitary(np.concatenate([t, np.zeros(t.shape[:-1] + (1,))], axis=-1))
-
-
 # A 2-parameter family on the unit square, known to these tests only.
 _SQUARE = pc.GateFamily(
     name="single-qubit-square",
     domain_description="the unit square 0 <= a, b <= 1",
+    param_names=("a", "b"),
     corners=((0, 0), (1, 0), (0, 1), (1, 1)),
     model=pc.SINGLE_QUBIT.model,
     contains=lambda t: ((-1e-9 <= t) & (t <= 1 + 1e-9)).all(axis=-1),
-    target=_square_target,
+    generators=np.stack([SX, SY]),
 )
 
 
@@ -116,6 +113,14 @@ def test_a_two_parameter_family_calibrates_round_trips_and_serves(monkeypatch, t
     assert payload["infidelity"] < 1e-3
     assert main(["interpolate", "--landscape", str(path), "--point", "1/4,1/3,0"]) == 2
     assert "point must have 2 comma-separated components" in capsys.readouterr().err
+
+    table = tmp_path / "square.csv"
+    assert main(["evaluate", "--landscape", str(path), "--granularity", "1/8",
+                 "--csv", str(table)]) == 0
+    header, *rows = list(csv.reader(table.open()))
+    assert header == ["a", "b", "infidelity", "simplex"]
+    assert len(rows) == 81
+    assert all(len(row) == 4 for row in rows)
 
 
 def test_header_is_self_describing(saved):
@@ -232,6 +237,10 @@ _TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "
          r"^malformed landscape file: simplices 4: 3 vertices, expected 4$"),
         (_set(("simplices", 4), [0, 1, 2, 3, 4]),
          r"^malformed landscape file: simplices 4: 5 vertices, expected 4$"),
+        (lambda data: data["simplices"].insert(5, data["simplices"][0]),
+         r"^malformed landscape file: simplices 5: repeats simplices 0$"),
+        (lambda data: data["simplices"].insert(5, [data["simplices"][0][i] for i in (1, 0, 3, 2)]),
+         r"^malformed landscape file: simplices 5: repeats simplices 0$"),
         (_set(("references",), "x"), r"^references: expected an array, got str$"),
         *((_drop(key), rf"^{key}: missing$") for key in _TOP_LEVEL),
     ],
@@ -240,7 +249,7 @@ _TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "
          "reference-iterations", "log-cumulative", "simplices-fraction", "simplices-string",
          "simplices-negative", "lambda-string", "lambda-negative", "lambda-infinite", "lambda-nan",
          "seed-string", "seed-negative", "simplices-range", "simplices-huge", "simplices-short",
-         "simplices-long", "references-string",
+         "simplices-long", "simplices-repeated", "simplices-permuted", "references-string",
          *(f"no-{key}" for key in _TOP_LEVEL)],
 )
 def test_loader_errors_name_the_record_and_the_field(saved, tmp_path, edit, message):

@@ -261,14 +261,19 @@ def test_locate_rejects_points_far_outside_and_nan():
 
 
 def test_cell_index_coarsens_for_simplices_spanning_the_mesh():
-    # 1,000 copies of one tetrahedron would each touch all 10^3 cells;
-    # the index coarsens until it stays linear in the simplex count.
-    mesh = from_simplices(TETRA, [[0, 1, 2, 3]] * 1000)
+    # 1,000 tetrahedra that share the face (0,0,0), (1,1,1), (1,0,0) and
+    # each span the unit cube would each touch all 10^3 cells; the index
+    # coarsens until it stays linear in the simplex count.
+    apexes = [(0.0, 1.0, k / 1000) for k in range(1000)]
+    vertices = np.array([(0, 0, 0), (1, 1, 1), (1, 0, 0), *apexes], dtype=float)
+    mesh = from_simplices(vertices, [[0, 1, 2, 3 + k] for k in range(1000)])
     assert mesh._index.simplex.size <= 64 * 1000
     assert mesh._index.n < 10
-    loc = locate(mesh, np.array([0.1, 0.2, 0.3]))
+    # Every tetrahedron holds this point just off the shared face.
+    p = np.array([2 / 3, 1 / 3 + 1e-3, 1 / 3])
+    loc = locate(mesh, p)
     assert loc.simplex == 0
-    assert np.allclose(loc.coords, [0.4, 0.1, 0.2, 0.3], atol=1e-15)
+    assert np.allclose(loc.coords @ mesh.vertices[mesh.simplices[0]], p, atol=1e-15)
 
 
 # -- explicit construction ----------------------------------------------------
@@ -288,6 +293,9 @@ def test_from_simplices_validates_indices_and_volume():
     degenerate = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]])
     with pytest.raises(DomainError, match="degenerate"):
         from_simplices(degenerate, [[0, 1, 2, 3]])
+    # Rows repeat in any vertex order; the first repeat stored is named.
+    with pytest.raises(DomainError, match=r"^simplices 2: repeats simplices 0$"):
+        from_simplices(TRIANGLE_PAIR, [[1, 2, 3], [0, 1, 2], [3, 2, 1], [2, 1, 0]])
 
 
 def test_two_dimensional_meshes_supported():

@@ -79,7 +79,7 @@ def test_zero_gradient_start_returns_immediately():
 
 def test_result_never_worse_than_start():
     rng = np.random.default_rng(2)
-    target = pc.single_qubit_unitary((0.4, 0.3, 0.2))
+    target = pc.SINGLE_QUBIT.target((0.4, 0.3, 0.2))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
     obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     for seed in range(5):
@@ -91,7 +91,7 @@ def test_result_never_worse_than_start():
 
 
 def test_iterations_respect_cap_and_evaluations_exceed_them():
-    target = pc.single_qubit_unitary((1.0, 0.0, 0.0))
+    target = pc.SINGLE_QUBIT.target((1.0, 0.0, 0.0))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
     obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     x, report = minimize(
@@ -103,7 +103,7 @@ def test_iterations_respect_cap_and_evaluations_exceed_them():
 
 
 def test_minimize_is_deterministic():
-    target = pc.single_qubit_unitary((0.2, 0.7, 0.1))
+    target = pc.SINGLE_QUBIT.target((0.2, 0.7, 0.1))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
     obj = functools.partial(cost_and_gradient, spec, MODEL_1Q, ANSATZ_1Q)
     x0 = seeded_init(ANSATZ_1Q, 12)
@@ -234,7 +234,7 @@ def test_pinned_lockstep_examples_reach_every_stop():
 
 def test_lockstep_pulse_problems_equal_minimize_alone():
     points = [(0.2, 0.7, 0.1), (1.0, 0.0, 0.0), (0.4, 0.3, 0.2), (0.0, 0.0, 0.0), (0.9, 0.5, 0.6)]
-    targets = pc.single_qubit_unitary(np.array(points))
+    targets = pc.SINGLE_QUBIT.target(np.array(points))
     anchors = np.zeros((len(points), 40))
     x0s = [seeded_init(ANSATZ_1Q, seed) for seed in range(len(points))]
     cfg = OptConfig()

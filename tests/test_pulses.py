@@ -182,7 +182,7 @@ def test_cost_zero_at_identity_with_zero_pulse():
 def test_cost_reduces_to_infidelity_when_lambda_zero():
     rng = np.random.default_rng(31)
     alpha = rng.uniform(-1, 1, 40)
-    target = pc.single_qubit_unitary((0.5, 0.2, 0.1))
+    target = pc.SINGLE_QUBIT.target((0.5, 0.2, 0.1))
     spec = CostSpec(target=target, lam=0.0, alpha0=np.zeros(40))
     j = cost(spec, MODEL_1Q, ANSATZ_1Q, alpha)
     infid = gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, alpha), target)
@@ -192,7 +192,7 @@ def test_cost_reduces_to_infidelity_when_lambda_zero():
 def test_cost_reduces_to_infidelity_at_anchor():
     rng = np.random.default_rng(37)
     alpha = rng.uniform(-1, 1, 40)
-    target = pc.single_qubit_unitary((0.1, 0.9, 0.3))
+    target = pc.SINGLE_QUBIT.target((0.1, 0.9, 0.3))
     spec = CostSpec(target=target, lam=1e-2, alpha0=alpha.copy())
     j = cost(spec, MODEL_1Q, ANSATZ_1Q, alpha)
     infid = gate_infidelity(evolve(MODEL_1Q, ANSATZ_1Q, alpha), target)
@@ -201,7 +201,7 @@ def test_cost_reduces_to_infidelity_at_anchor():
 
 def test_cost_bounded():
     rng = np.random.default_rng(41)
-    target = pc.cartan_unitary(random_chamber_point(rng))
+    target = pc.CARTAN_BOX.target(random_chamber_point(rng))
     spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(100))
     bound = 1.0 + tikhonov_weight(1e-2, ANSATZ_2Q) * 100 * 4.0
     for _ in range(20):
@@ -257,7 +257,7 @@ def test_gradient_matches_finite_differences_single_qubit():
     rng = np.random.default_rng(43)
     worst = 0.0
     for _ in range(10):
-        target = pc.single_qubit_unitary(rng.random(3))
+        target = pc.SINGLE_QUBIT.target(rng.random(3))
         spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40))
         alpha = rng.uniform(-0.9, 0.9, 40)
         _, g = cost_and_gradient(spec, MODEL_1Q, ANSATZ_1Q, alpha)
@@ -271,7 +271,7 @@ def test_gradient_matches_finite_differences_two_qubit():
     rng = np.random.default_rng(47)
     worst = 0.0
     for _ in range(6):
-        target = pc.cartan_unitary(random_chamber_point(rng))
+        target = pc.CARTAN_BOX.target(random_chamber_point(rng))
         spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(100))
         alpha = rng.uniform(-0.9, 0.9, 100)
         _, g = cost_and_gradient(spec, MODEL_2Q, ANSATZ_2Q, alpha)
@@ -284,7 +284,7 @@ def test_gradient_matches_finite_differences_two_qubit():
 
 def test_gradient_regularizer_part_is_linear():
     rng = np.random.default_rng(53)
-    target = pc.single_qubit_unitary((0.7, 0.1, 0.1))
+    target = pc.SINGLE_QUBIT.target((0.7, 0.1, 0.1))
     alpha = rng.uniform(-1, 1, 40)
     anchor = rng.uniform(-1, 1, 40)
     _, g_reg = cost_and_gradient(CostSpec(target, 1e-2, anchor), MODEL_1Q, ANSATZ_1Q, alpha)
@@ -295,7 +295,7 @@ def test_gradient_regularizer_part_is_linear():
 
 def test_cost_and_gradient_agree_with_separate_calls():
     rng = np.random.default_rng(59)
-    target = pc.single_qubit_unitary((0.2, 0.4, 0.4))
+    target = pc.SINGLE_QUBIT.target((0.2, 0.4, 0.4))
     alpha = rng.uniform(-1, 1, 40)
     for pin in (False, True):
         spec = CostSpec(target=target, lam=1e-2, alpha0=np.zeros(40), pin_branch=pin)
@@ -438,7 +438,7 @@ def test_row_support_scatters_back_to_the_controls(model, width):
 
 
 def test_cost_and_gradient_reject_targets_that_do_not_match_the_batch():
-    targets = pc.single_qubit_unitary(np.full((3, 3), 0.2))
+    targets = pc.SINGLE_QUBIT.target(np.full((3, 3), 0.2))
     spec = CostSpec(target=targets, lam=1e-2, alpha0=np.zeros(40))
     with pytest.raises(ValueError, match="target has shape"):
         cost_and_gradient(spec, MODEL_1Q, ANSATZ_1Q, np.zeros((4, 40)))
