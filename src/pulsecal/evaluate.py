@@ -6,8 +6,9 @@ combination of the vertex pulses. Interpolated pulses inherit the
 amplitude bounds automatically (convex combination of feasible pulses).
 
 evaluate_grid measures how well that works: it sweeps a dense test grid
-in blocks of points, evolves each block's interpolated pulses as one
-batch and compares them against the family targets.
+in blocks of points, locates each block in one ``locate`` call, evolves
+its interpolated pulses as one batch and compares them against the
+family targets.
 sweep(cfg, test_granularity) scores one calibration after each of its
 rounds 0..cfg.rounds, giving a computation-cost-versus-accuracy table.
 """
@@ -66,12 +67,8 @@ def _interpolate_block(landscape: Landscape, pulses: np.ndarray, points):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != mesh.dim:
         raise DomainError(f"points have shape {points.shape}, expected (B, {mesh.dim})")
-    coords = np.empty((len(points), mesh.dim + 1))
-    simplices = np.empty(len(points), dtype=int)
-    for i, p in enumerate(points):
-        loc = locate(mesh, p)
-        coords[i], simplices[i] = loc.coords, loc.simplex
-    return _combine(coords, pulses[mesh.simplices[simplices]]), simplices
+    loc = locate(mesh, points)
+    return _combine(loc.coords, pulses[mesh.simplices[loc.simplex]]), loc.simplex
 
 
 def _combine(coords: np.ndarray, vertex_pulses: np.ndarray) -> np.ndarray:

@@ -39,15 +39,17 @@ def gate_infidelity(u: np.ndarray, v: np.ndarray) -> float:
 def gate_infidelities(u: np.ndarray, v: np.ndarray) -> list:
     """gate_infidelity of each pair of the stacks u and v, (B, dim, dim) each."""
     overlaps = np.trace(v.conj().swapaxes(-1, -2) @ u, axis1=-2, axis2=-1)
-    return [overlap_infidelity(tr, u.shape[-1]) for tr in overlaps]
+    return [overlap_infidelity(tr, u.shape[-1]) for tr in overlaps.tolist()]
 
 
 def overlap_infidelity(tr: complex, dim: int) -> float:
     """Gate infidelity from the overlap tr = Tr(v^dag u) (see gate_infidelity).
 
-    Takes one overlap, a scalar, never an array: ``x**2`` calls pow()
-    on a NumPy scalar but multiplies on an array, and the two differ in
-    the last bit for about 1 in 1,200 random values, so batched callers
-    pass their overlaps one at a time.
+    Takes one overlap, a scalar, never an array, and computes on Python
+    floats: ``x**2`` calls C pow() on a float (as on a NumPy scalar) but
+    multiplies on an array, and the two differ in the last bit for about
+    1 in 1,200 random values, so batched callers pass their overlaps one
+    at a time. Python's min and max clip as ``np.clip`` does, NaN included.
     """
-    return float(np.clip(1.0 - (tr.real**2 + tr.imag**2) / dim**2, 0.0, 1.0))
+    tr = complex(tr)
+    return min(max(1.0 - (tr.real**2 + tr.imag**2) / dim**2, 0.0), 1.0)

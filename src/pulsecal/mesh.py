@@ -13,7 +13,11 @@ bounding box, with about m^(1/d) cells per axis for m simplices. Every
 simplex is registered in each cell its padded bounding box touches, so a
 cell's candidate list holds every simplex that can contain a point of
 that cell, in ascending simplex order; locate computes barycentric
-coordinates for those candidates only.
+coordinates for those candidates only. A batch of points (B, d) is
+located in one pass: the cells come from ``_CellIndex.cell_of``'s
+arithmetic on arrays, every point's candidates from one ragged gather,
+and one coordinate test over all of them picks each point's first hit
+in candidate order, so each row is bit for bit that point's location.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ _MAX_CELLS_PER_SIMPLEX = 64
 
 @dataclass(frozen=True)
 class BarycentricLocation:
-    """A point expressed inside one simplex of a mesh."""
+    """A point expressed inside one simplex of a mesh, or a batch of them."""
 
-    simplex: int
-    coords: np.ndarray  # (d+1,), non-negative up to tolerance, sums to 1
+    simplex: int  # or (B,) ints for a batch
+    coords: np.ndarray  # (d+1,) or (B, d+1), non-negative up to tolerance, rows sum to 1
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class _CellIndex:
     n: int  # cells per axis
     lo: tuple  # (d,) lower corner of the vertices' bounding box
     scale: tuple  # (d,) cells per unit length on each axis
-    starts: list  # (n^d + 1,) entry offsets
+    starts: np.ndarray  # (n^d + 1,) entry offsets
     simplex: np.ndarray  # (E,) simplex index of each entry
 
     def cell_of(self, p) -> int:
@@ -72,6 +76,11 @@ class _CellIndex:
             t = (x - lo) * scale
             cell = cell * n + (n - 1 if t >= n else int(t) if t >= 0 else 0)
         return cell
+
+    def cells_of(self, points: np.ndarray) -> np.ndarray:
+        """``cell_of`` of each row of points (B, d), in array arithmetic."""
+        k = _cell_coords(points, np.array(self.lo), np.array(self.scale), self.n)
+        return np.ravel_multi_index(tuple(k.T), (self.n,) * k.shape[1])
 
 
 @dataclass(frozen=True)
@@ -99,18 +108,27 @@ def _simplex_volumes(vertices: np.ndarray, simplices: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_sets_from(simplices: np.ndarray, n_vertices: int) -> tuple:
-    sets = [set() for _ in range(n_vertices)]
-    for row in simplices:
-        for i in range(len(row)):
-            for j in range(i + 1, len(row)):
-                sets[row[i]].add(int(row[j]))
-                sets[row[j]].add(int(row[i]))
-    return tuple(frozenset(s) for s in sets)
+    """Each vertex's mesh neighbours: every edge of every row, coded both ways as a * n + b.
+
+    The sorted codes hold each vertex's edges together; the frozensets drop
+    repeats. (np.unique would drop them too, but its first call imports
+    numpy.ma, which costs a fresh interpreter's load about 14 ms.)
+    """
+    first, second = np.triu_indices(simplices.shape[1], 1)
+    a, b = simplices[:, first].ravel(), simplices[:, second].ravel()
+    edges = np.sort(np.concatenate([a * n_vertices + b, b * n_vertices + a]))
+    source, target = np.divmod(edges, n_vertices)
+    bounds = np.searchsorted(source, np.arange(n_vertices + 1)).tolist()
+    return tuple(frozenset(target[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _cell_coords(x, lo, scale, n):
-    """Clamped cell coordinates of the points x, as in ``_CellIndex.cell_of``."""
-    return np.clip(np.floor((x - lo) * scale), 0, n - 1).astype(int)
+    """Clamped cell coordinates of the points x, as in ``_CellIndex.cell_of``.
+
+    Truncation is the floor where t >= 0; NaN fails both tests and gives 0.
+    """
+    t = (x - lo) * scale
+    return np.where(t >= n, n - 1, np.where(t >= 0, t, 0)).astype(int)
 
 
 def _cell_index(vertices, simplices) -> _CellIndex:
@@ -150,7 +168,7 @@ def _cell_index(vertices, simplices) -> _CellIndex:
         n=n,
         lo=tuple(lo.tolist()),
         scale=tuple(scale.tolist()),
-        starts=starts.tolist(),
+        starts=starts,
         simplex=owner[order],
     )
 
@@ -251,23 +269,70 @@ def locate(mesh: SimplicialMesh, p) -> BarycentricLocation:
     Points outside the convex hull (beyond a 1e-9 tolerance) raise
     DomainError. On shared faces the lowest-index matching simplex is
     returned; interpolation is consistent either way because off-face
-    coordinates vanish.
+    coordinates vanish. A batch of points (B, d) gives the simplices
+    (B,) and coordinates (B, d+1), each row bit for bit what that point
+    gives alone; the first point outside the mesh raises.
     """
     p = np.asarray(p, dtype=float)
-    if p.shape != (mesh.dim,):
-        raise DomainError(f"point has shape {p.shape}, expected ({mesh.dim},)")
-    index = mesh._index
-    cell = index.cell_of(p.tolist())
-    candidates = index.simplex[index.starts[cell] : index.starts[cell + 1]]
+    d = mesh.dim
+    if p.shape == (d,):
+        index = mesh._index
+        cell = index.cell_of(p.tolist())
+        candidates = index.simplex[index.starts[cell] : index.starts[cell + 1]]
+        b0, b_rest = _barycentric(mesh, candidates, p)
+        # The first candidate with every coordinate >= -tol; a NaN anywhere
+        # in a row makes its b0 NaN, which fails the test. Over one cell's
+        # few candidates, Python floats cost less than the array form below.
+        rows = b_rest.tolist()
+        for k, first in enumerate(b0.tolist()):
+            if first >= -_LOCATE_TOL and min(rows[k]) >= -_LOCATE_TOL:
+                break
+        else:
+            raise _outside(p)
+        b = np.array([0.0 if abs(c) < 1e-12 else c for c in (first, *rows[k])])
+        return BarycentricLocation(simplex=int(candidates[k]), coords=b / b.sum())
+    if p.ndim != 2 or p.shape[1] != d:
+        raise DomainError(f"point has shape {p.shape}, expected ({d},) or (B, {d})")
+
+    # The same test, snap and normalisation over every point's candidates.
+    candidates, owner, offsets = _candidates(mesh._index, p)
+    b0, b_rest = _barycentric(mesh, candidates, p[owner])
+    hits = np.flatnonzero((b0 >= -_LOCATE_TOL) & (b_rest >= -_LOCATE_TOL).all(axis=1))
+    # Each point's first hit, or past the end; it must come before the
+    # next point's candidates.
+    first = np.append(hits, len(candidates))[np.searchsorted(hits, offsets)]
+    outside = first >= np.append(offsets[1:], len(candidates))
+    if outside.any():
+        raise _outside(p[np.argmax(outside)])
+    b = np.concatenate([b0[first, None], b_rest[first]], axis=1)
+    b[np.abs(b) < 1e-12] = 0.0
+    return BarycentricLocation(simplex=candidates[first], coords=b / b.sum(axis=1, keepdims=True))
+
+
+def _candidates(index: _CellIndex, points: np.ndarray) -> tuple:
+    """Every point's cell candidates in one ragged gather.
+
+    Returns the candidates (K,), the point each belongs to (K,) and the
+    offset (B,) of each point's first candidate.
+    """
+    cells = index.cells_of(points)
+    first = index.starts[cells]
+    count = index.starts[cells + 1] - first
+    offsets = np.cumsum(count) - count
+    owner = np.repeat(np.arange(len(points)), count)
+    entry = np.arange(owner.size) + np.repeat(first - offsets, count)
+    return index.simplex[entry], owner, offsets
+
+
+def _barycentric(mesh: SimplicialMesh, candidates: np.ndarray, x: np.ndarray) -> tuple:
+    """Coordinates b0 (K,) and b_rest (K, d) of x in each candidate simplex.
+
+    x is one point (d,) or one point per candidate (K, d).
+    """
     t_inv = mesh._t_inv.take(candidates, axis=0)
-    b_rest = np.einsum("mij,mj->mi", t_inv, p - mesh._origins.take(candidates, axis=0))
-    # The first candidate with every coordinate >= -tol; a NaN anywhere
-    # in a row makes its b0 NaN, which fails the test.
-    b0, rows = (1.0 - b_rest.sum(axis=1)).tolist(), b_rest.tolist()
-    for k, first in enumerate(b0):
-        if first >= -_LOCATE_TOL and min(rows[k]) >= -_LOCATE_TOL:
-            break
-    else:
-        raise DomainError(f"point {tuple(float(c) for c in p)} lies outside the mesh")
-    b = np.array([0.0 if abs(c) < 1e-12 else c for c in (first, *rows[k])])
-    return BarycentricLocation(simplex=int(candidates[k]), coords=b / b.sum())
+    b_rest = np.einsum("mij,mj->mi", t_inv, x - mesh._origins.take(candidates, axis=0))
+    return 1.0 - b_rest.sum(axis=1), b_rest
+
+
+def _outside(p: np.ndarray) -> DomainError:
+    return DomainError(f"point {tuple(float(c) for c in p)} lies outside the mesh")

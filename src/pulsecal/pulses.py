@@ -166,16 +166,6 @@ class CostSpec:
     pin_branch: bool = False
 
 
-def _infidelity_term(overlap: complex, dim: int, pin_branch: bool) -> float:
-    """Infidelity term E of the cost from the overlap Tr(V^dag U_T).
-
-    The phase-insensitive form is gate_infidelity(U_T, V).
-    """
-    if pin_branch:
-        return float(2.0 * (1.0 - overlap.real / dim))
-    return overlap_infidelity(overlap, dim)
-
-
 def _as_pulses(ansatz: ControlAnsatz, alpha: np.ndarray) -> np.ndarray:
     """One pulse (n_params,) or a batch (B, n_params), as floats."""
     alpha = np.asarray(alpha, dtype=float)
@@ -253,7 +243,8 @@ def cost_and_gradient(
     (B,) and the gradients (B, n_params). Each row is bit for bit what
     that problem gives alone: a single pulse is the batch of one, a batch
     splits into row slices, every product works matrix by matrix, and the
-    costs go through the scalar infidelity formula one row at a time.
+    phase-insensitive costs go through the scalar infidelity formula one
+    row at a time.
     """
     alpha = _as_pulses(ansatz, alpha)
     nf, ns, dim, dt = ansatz.n_controls, ansatz.n_segments, model.dim, ansatz.dt
@@ -286,10 +277,12 @@ def cost_and_gradient(
     overlaps = np.trace(vh @ fwd[ns], axis1=-2, axis2=-1)
     lam_tilde = tikhonov_weight(spec.lam, ansatz)
     dev = alpha - np.asarray(spec.alpha0, dtype=float)
-    j = [
-        _infidelity_term(tr, dim, spec.pin_branch) + lam_tilde * float(d @ d)
-        for tr, d in zip(overlaps, dev)
-    ]
+    # np.vecdot on contiguous rows is the BLAS dot of a 1-D d @ d.
+    if spec.pin_branch:
+        infid = 2.0 * (1.0 - overlaps.real / dim)
+    else:
+        infid = np.array([overlap_infidelity(tr, dim) for tr in overlaps.tolist()])
+    j = infid + lam_tilde * np.vecdot(dev, dev)
 
     # Derivative of each segment exponential in its eigenbasis: the
     # divided difference of exp(-i*dt*x) between eigenvalue pairs,
@@ -325,6 +318,6 @@ def cost_and_gradient(
 
     grad = grad_infid.reshape(alpha.shape) + 2.0 * lam_tilde * dev
     if single:
-        return j[0], grad[0]
-    return np.array(j), grad
+        return float(j[0]), grad[0]
+    return j, grad
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pulsecal.linalg import expm_hermitian, gate_infidelity
+from pulsecal.linalg import expm_hermitian, gate_infidelities, gate_infidelity
 
+from cost_reference import _infidelity_term
 from gate_checks import is_unitary
 
 
@@ -64,6 +65,27 @@ def test_orthogonal_gates_have_unit_infidelity():
     # Pauli X vs identity: traceless overlap.
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     assert gate_infidelity(x, np.eye(2)) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_gate_infidelities_equal_the_clip_on_numpy_scalars_bit_for_bit(dim):
+    # u = diag(tr, 0, ...) against v = I has the overlap tr exactly.
+    # Sizes across [0, dim] and within a few ulp of dim, where the clip acts.
+    rng = np.random.default_rng(17)
+    size = np.concatenate([dim * rng.random(16000),
+                           dim + rng.integers(-4, 5, 4000) * np.spacing(float(dim))])
+    overlaps = size * np.exp(2j * np.pi * rng.random(size.size))
+    edges = [0, dim, -dim, 1j * dim, complex(np.nan, 0.0), complex(0.0, np.nan)]
+    overlaps = np.concatenate([overlaps, edges])
+    u = np.zeros((len(overlaps), dim, dim), dtype=complex)
+    u[:, 0, 0] = overlaps
+    v = np.broadcast_to(np.eye(dim, dtype=complex), u.shape)
+    assert np.array_equal(np.trace(v @ u, axis1=1, axis2=2), overlaps, equal_nan=True)
+    got = gate_infidelities(u, v)
+    want = [_infidelity_term(tr, dim, False) for tr in overlaps]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert got[-6:-2] == [1.0, 0.0, 0.0, 0.0]
+    assert all(type(x) is float for x in got)
 
 
 def test_is_unitary_rejects_non_unitary():

@@ -242,8 +242,9 @@ def query_points(mesh, kind, rng, count=40):
 )
 def test_indexed_locate_matches_full_scan_bit_for_bit(mesh_key, kind, seed):
     mesh = indexed_mesh(*mesh_key)
-    for p in query_points(mesh, kind, np.random.default_rng(seed)):
-        want = full_scan_locate(mesh, p)
+    points = query_points(mesh, kind, np.random.default_rng(seed))
+    wants = [full_scan_locate(mesh, p) for p in points]
+    for p, want in zip(points, wants):
         if want is None:
             with pytest.raises(DomainError, match="outside"):
                 locate(mesh, p)
@@ -252,12 +253,38 @@ def test_indexed_locate_matches_full_scan_bit_for_bit(mesh_key, kind, seed):
         assert got.simplex == want[0]
         assert got.coords.tobytes() == want[1].tobytes()
 
+    # The same points as one batch: the first outside point raises, and
+    # the inside points' rows are the full scan's, bit for bit.
+    inside = [want is not None for want in wants]
+    if not all(inside):
+        first = points[inside.index(False)]
+        with pytest.raises(DomainError) as err:
+            locate(mesh, points)
+        assert str(err.value) == f"point {tuple(float(c) for c in first)} lies outside the mesh"
+    got = locate(mesh, points[inside])
+    wants = [want for want in wants if want is not None]
+    assert got.simplex.tolist() == [want[0] for want in wants]
+    assert got.coords.shape == (len(wants), mesh.dim + 1)
+    for row, want in zip(got.coords, wants):
+        assert row.tobytes() == want[1].tobytes()
+
+
+def test_locate_takes_an_empty_batch_and_refuses_other_shapes():
+    mesh = indexed_mesh("cartan-box", 4)
+    loc = locate(mesh, np.empty((0, 3)))
+    assert loc.simplex.shape == (0,) and loc.coords.shape == (0, 4)
+    for shape in ((2,), (4,), (5, 2), (5, 4), (2, 5, 3)):
+        with pytest.raises(DomainError, match="expected \\(3,\\) or \\(B, 3\\)"):
+            locate(mesh, np.full(shape, 0.25))
+
 
 def test_locate_rejects_points_far_outside_and_nan():
     mesh = indexed_mesh("cartan-box", 4)
     for p in ([1e300, 0.5, 0.5], [-np.inf, 0.0, 0.0], [np.nan, 0.5, 0.5], [2.0, 2.0, 2.0]):
         with pytest.raises(DomainError, match="outside"), np.errstate(invalid="ignore"):
             locate(mesh, np.array(p))
+        with pytest.raises(DomainError, match="outside"), np.errstate(invalid="ignore"):
+            locate(mesh, np.array([[0.25, 0.25, 0.25], p]))
 
 
 def test_cell_index_coarsens_for_simplices_spanning_the_mesh():
@@ -274,6 +301,35 @@ def test_cell_index_coarsens_for_simplices_spanning_the_mesh():
     loc = locate(mesh, p)
     assert loc.simplex == 0
     assert np.allclose(loc.coords @ mesh.vertices[mesh.simplices[0]], p, atol=1e-15)
+
+
+# -- neighbour sets against the pairwise loop ---------------------------------
+
+def loop_neighbor_sets(mesh):
+    """Reference neighbour sets: every pair of every row, one at a time."""
+    sets = [set() for _ in range(mesh.n_vertices)]
+    for row in mesh.simplices:
+        for i in range(len(row)):
+            for j in range(i + 1, len(row)):
+                sets[row[i]].add(int(row[j]))
+                sets[row[j]].add(int(row[i]))
+    return [frozenset(s) for s in sets]
+
+
+@pytest.mark.parametrize("mesh_key", MESHES, ids=str)
+def test_neighbor_sets_equal_the_pairwise_loop(mesh_key):
+    mesh = indexed_mesh(*mesh_key)
+    assert [neighbors(mesh, v) for v in range(mesh.n_vertices)] == loop_neighbor_sets(mesh)
+
+
+def test_neighbor_sets_of_hand_built_meshes_equal_the_pairwise_loop():
+    # The last vertex of the padded tetrahedron is in no simplex.
+    padded = np.vstack([TETRA, [[2.0, 2.0, 2.0]]])
+    meshes = [build_mesh(TETRA), build_mesh(CUBE), build_mesh(TRIANGLE_PAIR),
+              from_simplices(padded, [[0, 1, 2, 3]])]
+    for mesh in meshes:
+        assert [neighbors(mesh, v) for v in range(mesh.n_vertices)] == loop_neighbor_sets(mesh)
+    assert neighbors(meshes[-1], 4) == frozenset()
 
 
 # -- explicit construction ----------------------------------------------------
