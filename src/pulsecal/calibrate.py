@@ -55,7 +55,7 @@ from .families import GateFamily, get_family
 from .linalg import gate_infidelities
 from .mesh import SimplicialMesh, build_mesh, neighbors
 from .optimize import OptConfig, minimize_lockstep, pulse_objective, seeded_init
-from .pulses import ControlAnsatz, CostSpec, check_lambda, evolve, tikhonov_weight
+from .pulses import ControlAnsatz, CostSpec, check_count, check_lambda, evolve, tikhonov_weight
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,18 @@ class CalibConfig:
     lam: float = 1e-2
     opt: OptConfig = OptConfig()
     seed: int = 0
-    n_segments: int = 20
+    n_segments: int = ControlAnsatz.n_segments  # the ansatz's default and rule
 
     def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {self.rounds}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.n_segments < 1:
-            raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
+        for name in ("rounds", "seed"):
+            object.__setattr__(self, name, check_count(getattr(self, name), 0, name))
+        family = get_family(self.family)
+        # Not a field: the ansatz of every reference pulse, built once.
+        object.__setattr__(self, "ansatz", ControlAnsatz(family.model.n_controls, self.n_segments))
+        object.__setattr__(self, "n_segments", self.ansatz.n_segments)
         check_lambda(self.lam)
         # Refused here, before a sweep calibrates anything.
-        get_family(self.family).check_spacing(self.granularity)
+        family.check_spacing(self.granularity)
 
 
 def neighbor_average(landscape: Landscape, i: int) -> np.ndarray:
@@ -191,7 +191,7 @@ def initial_round(cfg: CalibConfig) -> Landscape:
     """
     family = get_family(cfg.family)
     points = family.grid(cfg.granularity)
-    ansatz = ControlAnsatz(n_controls=family.model.n_controls, n_segments=cfg.n_segments)
+    ansatz = cfg.ansatz
     # Unscored placeholders at the seeded starts: _solve replaces every one.
     refs = [ReferencePulse(np.array(point, dtype=float), seeded_init(ansatz, cfg.seed ^ index),
                            float("nan"), 0) for index, point in enumerate(points)]

@@ -62,25 +62,19 @@ def _probe_writable(path: str) -> None:
 
 def _add_calib_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-2,
-                   help="Tikhonov regularization weight (default 1e-2)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--segments", type=int, default=20,
-                   help="piecewise-constant segments per pulse (default 20)")
-    p.add_argument("--max-iter", type=int, default=50,
-                   help="optimizer iteration cap per problem (default 50)")
+    p.add_argument("--lambda", dest="lam", type=float, default=CalibConfig.lam,
+                   help="Tikhonov regularization weight (default %(default)s)")
+    p.add_argument("--seed", type=int, default=CalibConfig.seed)
+    p.add_argument("--segments", type=int, default=CalibConfig.n_segments,
+                   help="piecewise-constant segments per pulse (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=OptConfig.max_iter,
+                   help="optimizer iteration cap per problem (default %(default)s)")
 
 
-def _calib_config(args, granularity: Fraction, rounds: int) -> CalibConfig:
-    return CalibConfig(
-        family=args.family,
-        granularity=granularity,
-        rounds=rounds,
-        lam=args.lam,
-        opt=OptConfig(max_iter=args.max_iter),
-        seed=args.seed,
-        n_segments=args.segments,
-    )
+def _calib_config(args, granularity: Fraction) -> CalibConfig:
+    return CalibConfig(family=args.family, granularity=granularity, rounds=args.rounds,
+                       lam=args.lam, opt=OptConfig(max_iter=args.max_iter), seed=args.seed,
+                       n_segments=args.segments)
 
 
 def _print_log(landscape) -> None:
@@ -93,7 +87,7 @@ def _print_log(landscape) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _calib_config(args, _fraction(args.granularity), args.rounds)
+    cfg = _calib_config(args, _fraction(args.granularity))
     _probe_writable(args.out)
     landscape = calibrate(cfg)
     _print_log(landscape)
@@ -104,7 +98,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     landscape = load_landscape(args.landscape)
-    records, summary = evaluate_grid(landscape, _fraction(args.granularity))
+    granularity = _fraction(args.granularity)
+    for path in filter(None, (args.csv, args.summary)):
+        _probe_writable(path)
+    records, summary = evaluate_grid(landscape, granularity)
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             writer = csv.writer(f)
@@ -147,8 +144,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfgs = [_calib_config(args, _fraction(g), args.max_rounds)
-            for g in args.granularities.split(",")]
+    cfgs = [_calib_config(args, _fraction(g)) for g in args.granularities.split(",")]
     test_granularity = _fraction(args.test_granularity)
     _probe_writable(args.csv)
     rows = [(cfg.granularity, rnd, s) for cfg in cfgs
@@ -177,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="optimize a reference landscape and save it")
     _add_calib_flags(p)
     p.add_argument("--granularity", required=True, help="reference spacing, e.g. 1/4")
-    p.add_argument("--rounds", type=int, default=0, help="re-optimization rounds")
+    p.add_argument("--rounds", type=int, default=CalibConfig.rounds, help="re-optimization rounds")
     p.add_argument("--out", required=True, help="landscape JSON output path")
     p.set_defaults(fn=cmd_calibrate)
 
@@ -198,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="computation-vs-accuracy sweep over granularities")
     _add_calib_flags(p)
     p.add_argument("--granularities", required=True, help="comma list, e.g. 1/2,1/3,1/4")
-    p.add_argument("--max-rounds", type=int, default=0)
+    p.add_argument("--max-rounds", dest="rounds", type=int, default=CalibConfig.rounds)
     p.add_argument("--test-granularity", required=True)
     p.add_argument("--csv", required=True)
     p.set_defaults(fn=cmd_sweep)

@@ -45,7 +45,10 @@ class EvalSummary:
 
 
 def interpolate(landscape: Landscape, p) -> np.ndarray:
-    """Barycentric combination of the containing simplex's pulses."""
+    """Barycentric combination of the containing simplex's pulses; p is one point (d,)."""
+    p = np.asarray(p, dtype=float)
+    if p.shape != (landscape.mesh.dim,):
+        raise DomainError(f"point has shape {p.shape}, expected ({landscape.mesh.dim},)")
     loc = locate(landscape.mesh, p)
     refs = landscape.references
     vertices = landscape.mesh.simplices[loc.simplex].tolist()

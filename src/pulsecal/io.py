@@ -7,7 +7,7 @@ read back by one reader that picks each field's parser by its type. A
 loader error names the section or record and the field
 (``log 2: mean_penalty: ...``, ``simplices 4: ...``, ``seed: missing``).
 The loader parses and leaves each rule to its owner: ``check_domain``,
-``check_pulses``, ``check_lambda`` and ``from_simplices``.
+``check_pulses``, ``check_lambda``, ``check_count`` and ``from_simplices``.
 Pulse amplitudes are stored as hex-float strings so reloading reproduces the exact
 binary values and interpolation results survive the file boundary
 bit-for-bit; the remaining floats rely on JSON's shortest-roundtrip
@@ -27,7 +27,7 @@ from .calibrate import Landscape, ReferencePulse, RoundRecord
 from .errors import DomainError, FormatError
 from .families import get_family
 from .mesh import from_simplices
-from .pulses import ControlAnsatz, check_lambda, check_pulses
+from .pulses import ControlAnsatz, check_count, check_lambda, check_pulses
 
 FORMAT_NAME = "pulsecal-landscape"
 FORMAT_VERSION = 1
@@ -82,19 +82,6 @@ def _float(value) -> float:
     return x
 
 
-def _count(value) -> int:
-    """A JSON integer, as a count or an index: every one in the file is >= 0.
-
-    A fraction, which int() would truncate, a string and a boolean are
-    FormatErrors.
-    """
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"expected an integer, got {value!r}")
-    if value < 0:
-        raise FormatError(f"expected a non-negative integer, got {value}")
-    return value
-
-
 def _hex(value) -> float:
     """A hex-float string as a float, exactly."""
     if not isinstance(value, str):
@@ -132,7 +119,7 @@ def _field(entry, where: str, name: str, read=lambda value: value):
 
 def _record(cls, entry, where: str):
     """The stored record ``entry`` as a ``cls``: its fields are the dataclass's."""
-    values = {name: _field(entry, where, name, _count if kind is int else _float)
+    values = {name: _field(entry, where, name, check_count if kind is int else _float)
               for name, kind in get_type_hints(cls).items()}
     try:
         return cls(**values)
@@ -152,7 +139,7 @@ def _reference(entry, where: str, family, ansatz: ControlAnsatz) -> ReferencePul
     alpha = _field(entry, where, "alpha_hex",
                    lambda v: check_pulses(ansatz, [_hex(h) for h in _list(v)]))
     return ReferencePulse(point, alpha, _field(entry, where, "infidelity", _float),
-                          _field(entry, where, "iterations", _count))
+                          _field(entry, where, "iterations", check_count))
 
 
 def landscape_from_dict(data: dict) -> Landscape:
@@ -174,7 +161,7 @@ def landscape_from_dict(data: dict) -> Landscape:
             )
         references = [_reference(r, f"reference {k}", family, ansatz)
                       for k, r in enumerate(_field(data, "", "references", _list))]
-        simplices = [_read(f"simplices {k}", lambda row: [_count(i) for i in _list(row)], row)
+        simplices = [_read(f"simplices {k}", lambda row: [check_count(i) for i in _list(row)], row)
                      for k, row in enumerate(_field(data, "", "simplices", _list))]
         # A bad row (length, index, volume) raises DomainError; in a file
         # it is a format fault.
@@ -189,7 +176,7 @@ def landscape_from_dict(data: dict) -> Landscape:
             if rec.round != k:
                 raise FormatError(f"log {k}: round: expected {k}, got {rec.round}")
         lam = _field(data, "", "lambda", lambda v: check_lambda(_number(v)))
-        seed = _field(data, "", "seed", _count)
+        seed = _field(data, "", "seed", check_count)
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc
     return Landscape(

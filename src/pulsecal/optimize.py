@@ -54,7 +54,7 @@ from typing import Callable, Generator
 import numpy as np
 
 from .errors import OptimizationError
-from .pulses import ControlAnsatz, CostSpec, HamiltonianModel, cost_and_gradient
+from .pulses import ControlAnsatz, CostSpec, HamiltonianModel, check_count, cost_and_gradient
 
 # Stop on a projected gradient below _GRAD_TOL, or after _STALL_WINDOW
 # accepted steps in a row that each gain at most _COST_REL_TOL of the cost.
@@ -73,8 +73,7 @@ class OptConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        object.__setattr__(self, "max_iter", check_count(self.max_iter, 1, "max_iter"))
 
 
 @dataclass(frozen=True)

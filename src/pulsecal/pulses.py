@@ -89,8 +89,8 @@ class ControlAnsatz:
     alpha_max: float = 1.0
 
     def __post_init__(self):
-        if self.n_controls < 1 or self.n_segments < 1:
-            raise ValueError("n_controls and n_segments must be positive")
+        for name in ("n_controls", "n_segments"):
+            object.__setattr__(self, name, check_count(getattr(self, name), 1, name))
         # NaN fails both comparisons.
         if not (0 < self.duration < np.inf and 0 < self.alpha_max < np.inf):
             raise ValueError("duration and alpha_max must be positive and finite")
@@ -136,6 +136,18 @@ class HamiltonianModel:
         cols = np.where(keep, order, 0)
         vals = np.where(keep, np.take_along_axis(controls, order, axis=-1), 0)
         return cols, vals
+
+
+def check_count(value, least: int = 0, name: str = "") -> int:
+    """An integer (numpy's too, not a bool) >= ``least``, as an int; errors name ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        problem = f"expected an integer, got {value!r}"
+    elif value < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        problem = f"expected {kind}, got {value}"
+    else:
+        return int(value)
+    raise ValueError(f"{name}: {problem}" if name else problem)
 
 
 def check_lambda(lam: float) -> float:

@@ -485,3 +485,61 @@ def test_config_rejects_bad_values():
         pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), rounds=-1)
     with pytest.raises(ValueError):
         pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 2), lam=-0.5)
+
+
+def _calib(**kwargs):
+    return pc.CalibConfig("single-qubit", Fraction(1, 2), **kwargs)
+
+
+# Every count field: its name, the least value it takes, and how to build
+# its owner with a value in it.
+_COUNT_FIELDS = pytest.mark.parametrize("name, least, build", [
+    pytest.param("rounds", 0, lambda v: _calib(rounds=v), id="CalibConfig.rounds"),
+    pytest.param("seed", 0, lambda v: _calib(seed=v), id="CalibConfig.seed"),
+    pytest.param("n_segments", 1, lambda v: _calib(n_segments=v), id="CalibConfig.n_segments"),
+    pytest.param("max_iter", 1, lambda v: pc.OptConfig(max_iter=v), id="OptConfig.max_iter"),
+    pytest.param("n_controls", 1, lambda v: ControlAnsatz(n_controls=v),
+                 id="ControlAnsatz.n_controls"),
+    pytest.param("n_segments", 1, lambda v: ControlAnsatz(n_controls=2, n_segments=v),
+                 id="ControlAnsatz.n_segments"),
+])
+
+
+@_COUNT_FIELDS
+@pytest.mark.parametrize("value", [1.5, True, "2", np.float64(2.0), None])
+def test_count_field_refuses_a_non_integer(name, least, build, value):
+    message = rf"^{name}: expected an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+@_COUNT_FIELDS
+@pytest.mark.parametrize("below", [1, 2])
+def test_count_field_refuses_a_value_below_its_bound(name, least, build, below):
+    kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+    with pytest.raises(ValueError, match=rf"^{name}: expected {kind}, got {least - below}$"):
+        build(least - below)
+
+
+@_COUNT_FIELDS
+def test_count_field_takes_a_numpy_integer_as_an_int(name, least, build):
+    value = getattr(build(np.int64(3)), name)
+    assert value == 3 and type(value) is int
+
+
+@pytest.mark.parametrize("run", [pc.calibrate, lambda cfg: pc.sweep(cfg, Fraction(1, 2))],
+                         ids=["calibrate", "sweep"])
+def test_fractional_rounds_are_refused_before_round_0(monkeypatch, run):
+    def never(cfg):
+        raise AssertionError("round 0 ran")
+
+    monkeypatch.setattr(calibrate_mod, "initial_round", never)
+    monkeypatch.setattr(importlib.import_module("pulsecal.evaluate"), "initial_round", never)
+    with pytest.raises(ValueError, match=r"^rounds: expected an integer, got 1\.5$"):
+        run(_calib(rounds=1.5))
+
+
+def test_config_builds_the_calibration_ansatz_once():
+    cfg = pc.CalibConfig("weyl-chamber", Fraction(1, 2), n_segments=7, opt=pc.OptConfig(max_iter=1))
+    assert cfg.ansatz == ControlAnsatz(n_controls=5, n_segments=7)
+    assert calibrate_mod.initial_round(cfg).ansatz is cfg.ansatz

@@ -178,8 +178,15 @@ def test_negative_seed_is_a_bad_argument(tmp_path, capsys, command):
     out = tmp_path / "out"
     code = main([*command, str(out), "--seed", "-1"])
     assert code == 2
-    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: seed: expected a non-negative integer, got -1\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [_CALIBRATE, _SWEEP], ids=["calibrate", "sweep"])
+def test_flag_defaults_are_the_config_defaults(command):
+    # Only the required flags: every other setting is its dataclass field's default.
+    args = cli.build_parser().parse_args([*command, "out"])
+    assert cli._calib_config(args, Fraction(1, 2)) == pc.CalibConfig("single-qubit", Fraction(1, 2))
 
 
 def test_write_probe_leaves_no_file_and_keeps_an_existing_one(tmp_path):
@@ -214,6 +221,22 @@ def test_evaluate_emits_csv_and_summary(landscape_file, tmp_path, capsys):
     assert summary["count"] == 27
     assert summary["mean_infidelity"] <= summary["max_infidelity"]
     assert summary["cumulative_iterations"] > 0
+
+
+@pytest.mark.parametrize("bad", ["--csv", "--summary"])
+def test_evaluate_refuses_an_unwritable_output_before_it_scores(landscape_file, tmp_path, capsys,
+                                                                monkeypatch, bad):
+    monkeypatch.setattr(cli, "evaluate_grid", _never_called)
+    paths = {"--csv": tmp_path / "records.csv", "--summary": tmp_path / "summary.json"}
+    paths[bad] = tmp_path / "missing" / "out"
+    argv = ["evaluate", "--landscape", str(landscape_file), "--granularity", "1/2"]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    code = main(argv)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"file error: output path '{paths[bad]}' is not writable")
+    assert not any(path.exists() for path in paths.values())
 
 
 def test_evaluate_missing_landscape_file(tmp_path, capsys):

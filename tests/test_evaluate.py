@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -126,6 +127,13 @@ def test_interpolate_many_rejects_bad_shapes_and_outside_points(small_landscape)
         pc.interpolate_many(small_landscape, np.array([[0.5, 0.5, 0.5], [1.5, 0.0, 0.0]]))
     empty = pc.interpolate_many(small_landscape, np.empty((0, 3)))
     assert empty.shape == (0, small_landscape.ansatz.n_params)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 3), (2,), (4,), ()])
+def test_interpolate_refuses_anything_but_one_point(small_landscape, shape):
+    message = rf"^point has shape {re.escape(str(shape))}, expected \(3,\)$"
+    with pytest.raises(DomainError, match=message):
+        pc.interpolate(small_landscape, np.full(shape, 0.25))
 
 
 # -- sweep --------------------------------------------------------------------

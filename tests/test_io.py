@@ -203,7 +203,7 @@ _TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "
     "edit,message",
     [
         (_set(("ansatz", "n_segments"), 20.0), r"^ansatz: n_segments: expected an integer, got 20\.0$"),
-        (_set(("ansatz", "n_segments"), 0), r"^ansatz: n_controls and n_segments must be positive$"),
+        (_set(("ansatz", "n_segments"), 0), r"^ansatz: n_segments: expected an integer >= 1, got 0$"),
         (lambda data: data["ansatz"].pop("duration"), r"^ansatz: duration: missing$"),
         (_set(("log", 0, "mean_penalty"), "x"), r"^log 0: mean_penalty: expected a number, got 'x'$"),
         (_set(("log", 1), [1, 2]), r"^log 1: expected an object, got list$"),
