@@ -114,9 +114,11 @@ class CalibConfig:
         # Not a field: the ansatz of every reference pulse, built once.
         object.__setattr__(self, "ansatz", ControlAnsatz(family.model.n_controls, self.n_segments))
         object.__setattr__(self, "n_segments", self.ansatz.n_segments)
-        check_lambda(self.lam)
+        object.__setattr__(self, "lam", check_lambda(self.lam))
+        if not isinstance(self.opt, OptConfig):
+            raise ValueError(f"opt: expected an OptConfig, got {self.opt!r}")
         # Refused here, before a sweep calibrates anything.
-        family.check_spacing(self.granularity)
+        object.__setattr__(self, "granularity", family.check_spacing(self.granularity))
 
 
 def neighbor_average(landscape: Landscape, i: int) -> np.ndarray:

@@ -147,8 +147,8 @@ class GateFamily:
         points = np.indices((n + 1,) * d).reshape(d, -1).T / n
         return points[self.contains(points)]
 
-    def check_spacing(self, granularity: Fraction) -> None:
-        """Refuse a reference spacing whose lattice misses a corner of the domain."""
+    def check_spacing(self, granularity: Fraction) -> Fraction:
+        """The spacing 1/n as a Fraction; refused if its lattice misses a corner of the domain."""
         n = divisions(granularity)
         for corner in self.corners:
             if any((Fraction(c) * n).denominator != 1 for c in corner):
@@ -157,10 +157,13 @@ class GateFamily:
                     f"({', '.join(map(str, corner))}) of family {self.name!r}: "
                     "the reference lattice must hold every corner of the domain"
                 )
+        return Fraction(1, n)
 
 
 def divisions(granularity: Fraction) -> int:
-    """The n of a spacing 1/n; a spacing that does not divide 1 is refused."""
+    """The n of a spacing 1/n; a bool, or a spacing that does not divide 1, is refused."""
+    if isinstance(granularity, bool):
+        raise ValueError(f"granularity must be a number, got {granularity!r}")
     g = Fraction(granularity)
     if g <= 0 or (1 / g).denominator != 1:
         raise ValueError(f"granularity must evenly divide 1, got {g}")

@@ -6,8 +6,10 @@ fields of ``ControlAnsatz`` and ``RoundRecord``, in field order, and
 read back by one reader that picks each field's parser by its type. A
 loader error names the section or record and the field
 (``log 2: mean_penalty: ...``, ``simplices 4: ...``, ``seed: missing``).
-The loader parses and leaves each rule to its owner: ``check_domain``,
-``check_pulses``, ``check_lambda``, ``check_count`` and ``from_simplices``.
+The loader only parses: numbers go through ``check_number`` (λ through
+``check_lambda``), counts ``check_count``, points ``check_domain``, pulses
+``check_pulses`` and rows ``from_simplices``. ``save_landscape`` leaves no
+partial file: it builds the whole text before it opens the path.
 Pulse amplitudes are stored as hex-float strings so reloading reproduces the exact
 binary values and interpolation results survive the file boundary
 bit-for-bit; the remaining floats rely on JSON's shortest-roundtrip
@@ -19,7 +21,6 @@ re-triangulating.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict
 from typing import get_type_hints
 
@@ -27,7 +28,7 @@ from .calibrate import Landscape, ReferencePulse, RoundRecord
 from .errors import DomainError, FormatError
 from .families import get_family
 from .mesh import from_simplices
-from .pulses import ControlAnsatz, check_count, check_lambda, check_pulses
+from .pulses import ControlAnsatz, check_count, check_lambda, check_number, check_pulses
 
 FORMAT_NAME = "pulsecal-landscape"
 FORMAT_VERSION = 1
@@ -56,30 +57,9 @@ def landscape_to_dict(landscape: Landscape) -> dict:
 
 
 def save_landscape(landscape: Landscape, path) -> None:
+    text = json.dumps(landscape_to_dict(landscape), indent=2) + "\n"
     with open(path, "w") as f:
-        json.dump(landscape_to_dict(landscape), f, indent=2)
-        f.write("\n")
-
-
-def _number(value) -> float:
-    """A JSON number as a float, exactly.
-
-    A string or a boolean, which float() would convert, and an integer
-    that no float holds exactly are FormatErrors.
-    """
-    if isinstance(value, float):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 2**53:
-        return float(value)
-    raise FormatError(f"expected a number, got {value!r}")
-
-
-def _float(value) -> float:
-    """A finite JSON number as a float, exactly; NaN and +-inf are FormatErrors."""
-    x = _number(value)
-    if not math.isfinite(x):
-        raise FormatError(f"expected a finite number, got {value!r}")
-    return x
+        f.write(text)
 
 
 def _hex(value) -> float:
@@ -119,7 +99,7 @@ def _field(entry, where: str, name: str, read=lambda value: value):
 
 def _record(cls, entry, where: str):
     """The stored record ``entry`` as a ``cls``: its fields are the dataclass's."""
-    values = {name: _field(entry, where, name, check_count if kind is int else _float)
+    values = {name: _field(entry, where, name, check_count if kind is int else check_number)
               for name, kind in get_type_hints(cls).items()}
     try:
         return cls(**values)
@@ -130,15 +110,15 @@ def _record(cls, entry, where: str):
 def _reference(entry, where: str, family, ansatz: ControlAnsatz) -> ReferencePulse:
     """One ``"references"`` entry, after evolve's and unitary's own checks.
 
-    A file that loads then also evolves and scores. A point with the
-    wrong count or a non-finite coordinate fails the domain check, and a
-    pulse of the wrong length or out of its box fails evolve's check.
+    A file that loads then also evolves and scores. A non-finite coordinate
+    fails the number check, a point with the wrong count the domain check,
+    and a pulse of the wrong length or out of its box evolve's check.
     """
     point = _field(entry, where, "point",
-                   lambda v: family.check_domain([_number(c) for c in _list(v)]))
+                   lambda v: family.check_domain([check_number(c) for c in _list(v)]))
     alpha = _field(entry, where, "alpha_hex",
                    lambda v: check_pulses(ansatz, [_hex(h) for h in _list(v)]))
-    return ReferencePulse(point, alpha, _field(entry, where, "infidelity", _float),
+    return ReferencePulse(point, alpha, _field(entry, where, "infidelity", check_number),
                           _field(entry, where, "iterations", check_count))
 
 
@@ -175,7 +155,7 @@ def landscape_from_dict(data: dict) -> Landscape:
         for k, rec in enumerate(log):
             if rec.round != k:
                 raise FormatError(f"log {k}: round: expected {k}, got {rec.round}")
-        lam = _field(data, "", "lambda", lambda v: check_lambda(_number(v)))
+        lam = check_lambda(_field(data, "", "lambda"))
         seed = _field(data, "", "seed", check_count)
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:
         raise FormatError(f"malformed landscape file: {exc}") from exc

@@ -91,9 +91,8 @@ class ControlAnsatz:
     def __post_init__(self):
         for name in ("n_controls", "n_segments"):
             object.__setattr__(self, name, check_count(getattr(self, name), 1, name))
-        # NaN fails both comparisons.
-        if not (0 < self.duration < np.inf and 0 < self.alpha_max < np.inf):
-            raise ValueError("duration and alpha_max must be positive and finite")
+        for name in ("duration", "alpha_max"):
+            object.__setattr__(self, name, check_number(getattr(self, name), 0, name, above=True))
 
     @property
     def dt(self) -> float:
@@ -150,11 +149,27 @@ def check_count(value, least: int = 0, name: str = "") -> int:
     raise ValueError(f"{name}: {problem}" if name else problem)
 
 
+def check_number(value, least: float = -np.inf, name: str = "", *, above: bool = False) -> float:
+    """A finite number >= ``least`` (> if ``above``), as a float; errors name ``name``.
+
+    Python's and numpy's ints and floats pass; a bool, a string, None, a complex
+    number and an int past 2**53 (not every one is a float) do not.
+    """
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (isinstance(value, (float, np.floating)) or integral and abs(int(value)) <= 2**53):
+        problem = f"expected a number, got {value!r}"
+    elif not -np.inf < (number := float(value)) < np.inf:
+        problem = f"expected a finite number, got {value!r}"
+    elif number < least or above and number == least:
+        problem = f"expected a number {'>' if above else '>='} {least}, got {value!r}"
+    else:
+        return number
+    raise ValueError(f"{name}: {problem}" if name else problem)
+
+
 def check_lambda(lam: float) -> float:
-    """lam, which must be finite and >= 0: a scalar test, as every kernel call makes it."""
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and non-negative, got {lam}")
-    return lam
+    """lam as a float, which must be >= 0: every kernel call checks it."""
+    return check_number(lam, 0, "lambda")
 
 
 def tikhonov_weight(lam: float, ansatz: ControlAnsatz) -> float:

@@ -543,3 +543,97 @@ def test_config_builds_the_calibration_ansatz_once():
     cfg = pc.CalibConfig("weyl-chamber", Fraction(1, 2), n_segments=7, opt=pc.OptConfig(max_iter=1))
     assert cfg.ansatz == ControlAnsatz(n_controls=5, n_segments=7)
     assert calibrate_mod.initial_round(cfg).ansatz is cfg.ansatz
+
+
+# Every number field: its name, its bound, the values at or past the bound,
+# and how to build its owner with a value in it.
+_NUMBER_FIELDS = pytest.mark.parametrize("name, bound, past, build", [
+    pytest.param("lambda", ">= 0", (-5e-324, -1.0), lambda v: _calib(lam=v), id="CalibConfig.lam"),
+    pytest.param("duration", "> 0", (0, 0.0, -1.0),
+                 lambda v: ControlAnsatz(n_controls=2, duration=v), id="ControlAnsatz.duration"),
+    pytest.param("alpha_max", "> 0", (0, 0.0, -1.0),
+                 lambda v: ControlAnsatz(n_controls=2, alpha_max=v), id="ControlAnsatz.alpha_max"),
+])
+
+
+@_NUMBER_FIELDS
+@pytest.mark.parametrize("value", [True, "1", None, 1j, 2**53 + 1])
+def test_number_field_refuses_what_is_not_a_number(name, bound, past, build, value):
+    message = rf"^{name}: expected a number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+@_NUMBER_FIELDS
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), np.float32("nan")])
+def test_number_field_refuses_a_value_that_is_not_finite(name, bound, past, build, value):
+    message = rf"^{name}: expected a finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+@_NUMBER_FIELDS
+def test_number_field_refuses_a_value_at_or_past_its_bound(name, bound, past, build):
+    for value in past:
+        with pytest.raises(ValueError, match=rf"^{name}: expected a number {bound}, got {value!r}$"):
+            build(value)
+
+
+@_NUMBER_FIELDS
+@pytest.mark.parametrize("value", [2, np.int64(2), np.float32(0.25), np.float64(0.25)])
+def test_number_field_stores_a_float(name, bound, past, build, value):
+    stored = getattr(build(value), "lam" if name == "lambda" else name)
+    assert stored == float(value) and type(stored) is float
+
+
+@pytest.mark.parametrize("opt", [None, 50, {"max_iter": 50}])
+def test_config_refuses_an_opt_that_is_not_an_opt_config(opt):
+    message = rf"^opt: expected an OptConfig, got {re.escape(repr(opt))}$"
+    with pytest.raises(ValueError, match=message):
+        _calib(opt=opt)
+
+
+def test_config_refuses_a_bool_spacing():
+    with pytest.raises(ValueError, match=r"^granularity must be a number, got True$"):
+        pc.CalibConfig("single-qubit", True)
+
+
+@pytest.mark.parametrize("granularity", ["1/2", 0.5, Fraction(2, 4)])
+def test_config_stores_the_spacing_it_checked_as_a_fraction(granularity):
+    stored = pc.CalibConfig("single-qubit", granularity).granularity
+    assert stored == Fraction(1, 2) and type(stored) is Fraction
+
+
+def _ints(low, high):
+    return st.integers(low, high) | st.integers(low, high).map(np.int64)
+
+
+# Anything a caller may pass for a setting: Python and numpy numbers in and
+# out of range, and values of other types. No integer here is a large valid
+# count, so a config that builds calibrates in a moment.
+_ANY_SETTING = st.one_of(
+    _ints(-2, 1), st.floats(), st.floats(width=32).map(np.float32),
+    st.sampled_from([True, False, None, "1", 1j, -(2**53) - 1, np.int64(-2**63), np.float32("inf")]),
+)
+
+
+def _setting(valid):
+    """Seven times in eight a value of ``valid``, the values the field takes; else anything."""
+    return st.integers(0, 7).flatmap(lambda k: valid if k else _ANY_SETTING)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=_setting(_ints(0, 2) | st.floats(0, 2) | st.floats(0, 2, width=32).map(np.float32)),
+       seed=_setting(_ints(0, 5)), rounds=_setting(_ints(0, 1)), n_segments=_setting(_ints(1, 4)),
+       max_iter=_setting(_ints(1, 2)))
+def test_every_config_that_builds_saves_and_loads(tmp_path_factory, lam, seed, rounds,
+                                                  n_segments, max_iter):
+    try:
+        cfg = pc.CalibConfig("single-qubit", Fraction(1), rounds=rounds, lam=lam, seed=seed,
+                             n_segments=n_segments, opt=pc.OptConfig(max_iter=max_iter))
+    except ValueError:
+        return
+    land = pc.calibrate(cfg)
+    path = tmp_path_factory.mktemp("config") / "land.json"
+    pc.save_landscape(land, path)
+    assert landscape_to_dict(pc.load_landscape(path)) == landscape_to_dict(land)

@@ -164,3 +164,8 @@ def test_sweep_zero_rounds_gives_single_row_per_granularity():
     assert len(summaries) == 1
     # Test grid equals the reference grid, so interpolation is exact there.
     assert summaries[0].count == 8
+
+
+def test_evaluate_grid_refuses_a_bool_spacing(small_landscape):
+    with pytest.raises(ValueError, match=r"^granularity must be a number, got True$"):
+        pc.evaluate_grid(small_landscape, True)

@@ -8,7 +8,7 @@ from scipy.spatial import ConvexHull
 
 import pulsecal as pc
 from pulsecal.errors import DomainError
-from pulsecal.families import CARTAN_BOX, SINGLE_QUBIT, WEYL_CHAMBER, get_family
+from pulsecal.families import CARTAN_BOX, SINGLE_QUBIT, WEYL_CHAMBER, divisions, get_family
 from pulsecal.linalg import expm_hermitian
 
 from gate_checks import cartan_target, is_unitary, pauli_target
@@ -96,6 +96,19 @@ def test_grid_rejects_non_unit_granularity():
     # A reference spacing meets the same check before its corners are checked.
     with pytest.raises(ValueError, match="must evenly divide 1"):
         WEYL_CHAMBER.check_spacing(Fraction(2, 3))
+
+
+@pytest.mark.parametrize("granularity", [True, False])
+def test_spacing_rule_refuses_a_bool(granularity):
+    # Fraction(True) is 1: without the type test, True would be spacing 1.
+    with pytest.raises(ValueError, match=rf"^granularity must be a number, got {granularity}$"):
+        divisions(granularity)
+
+
+@pytest.mark.parametrize("granularity", [Fraction(1, 4), "1/4", 0.25, np.float64(0.25)])
+def test_spacing_rule_counts_divisions_of_any_exact_spelling(granularity):
+    assert divisions(granularity) == 4
+    assert SINGLE_QUBIT.check_spacing(granularity) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize("name", sorted(pc.FAMILIES))

@@ -28,6 +28,19 @@ def saved(small_landscape, tmp_path):
     return path
 
 
+@pytest.mark.parametrize("field,value", [("lam", np.float32(0.5)), ("seed", np.int64(0))])
+def test_a_failing_save_leaves_no_partial_file(small_landscape, saved, tmp_path, field, value):
+    # A Landscape built by hand can hold a value that JSON cannot write.
+    bad = dataclasses.replace(small_landscape, **{field: value})
+    before = saved.read_bytes()
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        pc.save_landscape(bad, saved)
+    assert saved.read_bytes() == before
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        pc.save_landscape(bad, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
+
+
 def test_round_trip_preserves_everything(small_landscape, saved):
     loaded = pc.load_landscape(saved)
     assert landscape_to_dict(loaded) == landscape_to_dict(small_landscape)
@@ -223,10 +236,13 @@ _TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "
         (_set(("simplices", 4, 1), 3.0), r"^simplices 4: expected an integer, got 3\.0$"),
         (_set(("simplices", 4), "0 1 2 3"), r"^simplices 4: expected an array, got str$"),
         (_set(("simplices", 4, 0), -1), r"^simplices 4: expected a non-negative integer, got -1$"),
-        (_set(("lambda",), "x"), r"^lambda: expected a number, got 'x'$"),
-        (_set(("lambda",), -1.0), r"^lambda: lambda must be finite and non-negative, got -1\.0$"),
-        (_set(("lambda",), float("inf")), r"^lambda: lambda must be finite and non-negative, got inf$"),
-        (_set(("lambda",), float("nan")), r"^lambda: lambda must be finite and non-negative, got nan$"),
+        (_set(("lambda",), "x"), r"^malformed landscape file: lambda: expected a number, got 'x'$"),
+        (_set(("lambda",), -1.0),
+         r"^malformed landscape file: lambda: expected a number >= 0, got -1\.0$"),
+        (_set(("lambda",), float("inf")),
+         r"^malformed landscape file: lambda: expected a finite number, got inf$"),
+        (_set(("lambda",), float("nan")),
+         r"^malformed landscape file: lambda: expected a finite number, got nan$"),
         (_set(("seed",), "x"), r"^seed: expected an integer, got 'x'$"),
         (_set(("seed",), -1), r"^seed: expected a non-negative integer, got -1$"),
         (_set(("simplices", 4, 3), 99),

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from pulsecal.pulses import (
     ControlAnsatz,
     CostSpec,
     HamiltonianModel,
+    check_number,
     cost_and_gradient,
     evolve,
     tikhonov_weight,
@@ -57,8 +59,39 @@ def test_tikhonov_weight_rejects_negative_lambda():
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"), -1.0])
 def test_tikhonov_weight_refuses_lambda_that_is_not_finite_and_non_negative(lam):
     # The rule CalibConfig and the landscape loader apply too.
-    with pytest.raises(ValueError, match=rf"^lambda must be finite and non-negative, got {lam}$"):
+    problem = "a number >= 0" if np.isfinite(lam) else "a finite number"
+    with pytest.raises(ValueError, match=rf"^lambda: expected {problem}, got {lam}$"):
         tikhonov_weight(lam, ANSATZ_1Q)
+
+
+@pytest.mark.parametrize("value", [True, False, "1", None, 1j, np.complex128(1), [1.0],
+                                   2**53 + 1, -(2**53) - 1, np.int64(-2**63)])
+def test_check_number_refuses_what_is_not_a_number(value):
+    with pytest.raises(ValueError, match=rf"^expected a number, got {re.escape(repr(value))}$"):
+        check_number(value)
+
+
+# A long double past the float range is finite where it is, not as a float.
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float32("inf"),
+                                   np.longdouble("1e400")])
+def test_check_number_refuses_a_value_that_is_not_finite(value):
+    with pytest.raises(ValueError, match=r"^x: expected a finite number, got "):
+        check_number(value, name="x")
+
+
+@pytest.mark.parametrize("value", [2**53, -(2**53), np.int64(-7), -1e308, np.float32(-0.5), 0.0])
+def test_check_number_takes_every_finite_number_as_a_float_by_default(value):
+    number = check_number(value)
+    assert number == value and type(number) is float
+
+
+def test_check_number_bound_is_strict_only_above():
+    assert check_number(1, 1, "x") == 1.0
+    with pytest.raises(ValueError, match=r"^x: expected a number >= 1, got 0\.5$"):
+        check_number(0.5, 1, "x")
+    with pytest.raises(ValueError, match=r"^x: expected a number > 1, got 1$"):
+        check_number(1, 1, "x", above=True)
+    assert check_number(np.nextafter(1.0, 2.0), 1, above=True) > 1.0
 
 
 # -- time evolution ---------------------------------------------------------
