@@ -12,6 +12,7 @@ from .calibrate import (
     ReferencePulse,
     RoundRecord,
     calibrate,
+    calibration_rounds,
     initial_round,
     neighbor_average,
     neighbor_penalty,
@@ -89,6 +90,7 @@ __all__ = [
     "SimplicialMesh",
     "build_mesh",
     "calibrate",
+    "calibration_rounds",
     "cost_and_gradient",
     "evaluate_grid",
     "evolve",

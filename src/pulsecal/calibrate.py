@@ -4,7 +4,10 @@ The pipeline has four steps: optimize every reference point independently
 (initial round, Tikhonov anchor 0), mesh the reference points, then run
 re-optimization rounds that pull each pulse toward the average of its
 mesh neighbors, and keep the per-round log that the evaluation tooling
-reports.
+reports. ``calibration_rounds`` states that schedule once and yields the
+landscape after each round: ``calibrate`` runs it to the end, the CLI
+prints each round's log line as it ends, and ``evaluate.sweep`` scores
+each round.
 
 Every batch of reference problems goes through one step, ``_solve``: a
 lockstep batch (``minimize_lockstep``) in the ansatz's amplitude box,
@@ -252,9 +255,22 @@ def reoptimization_round(landscape: Landscape, opt: OptConfig) -> Landscape:
     return landscape
 
 
-def calibrate(cfg: CalibConfig) -> Landscape:
-    """Full pipeline: initial round plus cfg.rounds re-optimization rounds."""
+def calibration_rounds(cfg: CalibConfig):
+    """The calibration schedule: the initial round, then cfg.rounds re-optimization rounds.
+
+    Yields the one landscape after each round, so its log holds k + 1
+    records at yield k. This is the only statement of the schedule:
+    ``calibrate`` runs it to the end and ``evaluate.sweep`` scores each
+    yield. Both rounds are looked up as this module's globals at each
+    call, so a profiler or a test that wraps them there sees every round.
+    """
     landscape = initial_round(cfg)
+    yield landscape
     for _ in range(cfg.rounds):
-        reoptimization_round(landscape, cfg.opt)
+        yield reoptimization_round(landscape, cfg.opt)
+
+
+def calibrate(cfg: CalibConfig) -> Landscape:
+    """Full pipeline: every round of ``calibration_rounds``; the landscape after the last."""
+    *_, landscape = calibration_rounds(cfg)
     return landscape

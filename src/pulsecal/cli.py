@@ -7,7 +7,9 @@ several granularities).
 
 Exit codes: 0 success, 2 bad arguments, 3 domain error (point or
 configuration outside the gate family's domain), 4 I/O or file-format
-error. Every subcommand runs on the calling thread.
+error. Every subcommand runs on the calling thread. Spacings are passed
+on as the strings given, to ``families.divisions``, the one reader of a
+spacing; ``calibrate`` prints each round's log line as that round ends.
 """
 
 from __future__ import annotations
@@ -20,21 +22,14 @@ import sys
 from dataclasses import asdict
 from fractions import Fraction
 
-from .calibrate import CalibConfig, calibrate
+from .calibrate import CalibConfig, calibration_rounds
 from .errors import DomainError, FormatError
 from .evaluate import evaluate_grid, interpolate, sweep
-from .families import FAMILIES
+from .families import FAMILIES, divisions
 from .io import load_landscape, save_landscape
 from .linalg import gate_infidelity
 from .optimize import OptConfig
 from .pulses import evolve
-
-
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid granularity {text!r}: {exc}") from None
 
 
 def _point(text: str, n: int) -> tuple:
@@ -71,26 +66,21 @@ def _add_calib_flags(p: argparse.ArgumentParser) -> None:
                    help="optimizer iteration cap per problem (default %(default)s)")
 
 
-def _calib_config(args, granularity: Fraction) -> CalibConfig:
+def _calib_config(args, granularity: str) -> CalibConfig:
     return CalibConfig(family=args.family, granularity=granularity, rounds=args.rounds,
                        lam=args.lam, opt=OptConfig(max_iter=args.max_iter), seed=args.seed,
                        n_segments=args.segments)
 
 
-def _print_log(landscape) -> None:
-    print("round  iterations  cumulative  mean_infid    max_infid     mean_penalty")
-    for rec in landscape.log:
-        print(
-            f"{rec.round:5d}  {rec.iterations:10d}  {rec.cumulative_iterations:10d}"
-            f"  {rec.mean_infidelity:.6e}  {rec.max_infidelity:.6e}  {rec.mean_penalty:.6e}"
-        )
-
-
 def cmd_calibrate(args) -> int:
-    cfg = _calib_config(args, _fraction(args.granularity))
+    cfg = _calib_config(args, args.granularity)
     _probe_writable(args.out)
-    landscape = calibrate(cfg)
-    _print_log(landscape)
+    print("round  iterations  cumulative  mean_infid    max_infid     mean_penalty")
+    for landscape in calibration_rounds(cfg):
+        rec = landscape.log[-1]
+        print(f"{rec.round:5d}  {rec.iterations:10d}  {rec.cumulative_iterations:10d}"
+              f"  {rec.mean_infidelity:.6e}  {rec.max_infidelity:.6e}  {rec.mean_penalty:.6e}",
+              flush=True)
     save_landscape(landscape, args.out)
     print(f"saved {len(landscape.references)} references to {args.out}")
     return 0
@@ -98,10 +88,10 @@ def cmd_calibrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     landscape = load_landscape(args.landscape)
-    granularity = _fraction(args.granularity)
+    divisions(args.granularity)
     for path in filter(None, (args.csv, args.summary)):
         _probe_writable(path)
-    records, summary = evaluate_grid(landscape, granularity)
+    records, summary = evaluate_grid(landscape, args.granularity)
     if args.csv:
         with open(args.csv, "w", newline="") as f:
             writer = csv.writer(f)
@@ -144,11 +134,11 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfgs = [_calib_config(args, _fraction(g)) for g in args.granularities.split(",")]
-    test_granularity = _fraction(args.test_granularity)
+    cfgs = [_calib_config(args, g) for g in args.granularities.split(",")]
+    divisions(args.test_granularity)
     _probe_writable(args.csv)
     rows = [(cfg.granularity, rnd, s) for cfg in cfgs
-            for rnd, s in enumerate(sweep(cfg, test_granularity))]
+            for rnd, s in enumerate(sweep(cfg, args.test_granularity))]
     with open(args.csv, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["granularity", "round", "cumulative_iterations",

@@ -8,21 +8,22 @@ amplitude bounds automatically (convex combination of feasible pulses).
 evaluate_grid measures how well that works: it sweeps a dense test grid
 in blocks of points, locates each block in one ``locate`` call, evolves
 its interpolated pulses as one batch and compares them against the
-family targets.
-sweep(cfg, test_granularity) scores one calibration after each of its
-rounds 0..cfg.rounds, giving a computation-cost-versus-accuracy table.
+family targets. sweep(cfg, test_granularity) scores each round that
+``calibration_rounds(cfg)`` yields, rounds 0..cfg.rounds of the one
+calibration that ``calibrate(cfg)`` runs, giving a
+computation-cost-versus-accuracy table. A test spacing is a ``Spacing``:
+any form that ``families.divisions`` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .calibrate import CalibConfig, Landscape, initial_round, reoptimization_round
+from .calibrate import CalibConfig, Landscape, calibration_rounds
 from .errors import DomainError
-from .families import divisions
+from .families import Spacing, divisions
 from .linalg import gate_infidelities
 from .mesh import locate
 from .pulses import KERNEL_BATCH, evolve
@@ -85,7 +86,7 @@ def _combine(coords: np.ndarray, vertex_pulses: np.ndarray) -> np.ndarray:
     return np.add.reduce(coords[..., None] * vertex_pulses, axis=-2, initial=0.0)
 
 
-def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[list, EvalSummary]:
+def evaluate_grid(landscape: Landscape, test_granularity: Spacing) -> tuple[list, EvalSummary]:
     """Interpolate and score every domain lattice point at the given spacing."""
     family = landscape.family
     points = family.grid(test_granularity)
@@ -115,18 +116,12 @@ def evaluate_grid(landscape: Landscape, test_granularity: Fraction) -> tuple[lis
     return records, summary
 
 
-def sweep(cfg: CalibConfig, test_granularity: Fraction) -> list:
+def sweep(cfg: CalibConfig, test_granularity: Spacing) -> list:
     """Calibration-cost sweep: the EvalSummary after each of rounds 0..cfg.rounds.
 
-    Rounds are applied incrementally to the same landscape, so the
-    cumulative iteration counts in consecutive summaries trace the one
-    calibration that ``calibrate(cfg)`` runs; a bad test spacing fails first.
+    Scores each landscape that ``calibration_rounds(cfg)`` yields, so the
+    last summary scores what ``calibrate(cfg)`` returns; a bad test
+    spacing fails first.
     """
     divisions(test_granularity)
-    landscape = initial_round(cfg)
-    summaries = []
-    for rnd in range(cfg.rounds + 1):
-        if rnd:
-            reoptimization_round(landscape, cfg.opt)
-        summaries.append(evaluate_grid(landscape, test_granularity)[1])
-    return summaries
+    return [evaluate_grid(landscape, test_granularity)[1] for landscape in calibration_rounds(cfg)]

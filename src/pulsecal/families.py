@@ -13,10 +13,13 @@ families are provided, each on points t = (tx, ty, tz):
 
 Each family states its domain once, as ``contains``, which takes one
 point or a batch. A grid is the lattice points a / n that ``contains``
-accepts, for a spacing 1/n that ``divisions`` accepts. A lattice point
-outside a domain lies at least 1/n outside it, far beyond the membership
-slack and the one rounding of a / n, so point counts do not depend on
-floating-point rounding.
+accepts, for a spacing 1/n that ``divisions`` accepts. ``divisions`` is
+the one reader of a spacing, a ``Spacing``: a Fraction, a string such as
+"1/4", or a number that ``check_number`` takes; the command line passes
+its strings straight to it. A lattice point outside a domain lies at
+least 1/n outside it, far beyond the membership slack and the one
+rounding of a / n, so point counts do not depend on floating-point
+rounding.
 
 Each family names its parameters, ``param_names``, and is refused when
 it is built unless it has one generator per parameter and each corner
@@ -42,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .linalg import I2, SX, SY, SZ, expm_hermitian
-from .pulses import HamiltonianModel
+from .pulses import HamiltonianModel, check_number
 
 XX = np.kron(SX, SX)
 YY = np.kron(SY, SY)
@@ -134,7 +137,7 @@ class GateFamily:
         """Target of one point (n,), or the stack (B, dim, dim) of a batch (B, n)."""
         return self.target(self.check_domain(t))
 
-    def grid(self, granularity: Fraction) -> np.ndarray:
+    def grid(self, granularity: Spacing) -> np.ndarray:
         """All domain lattice points with spacing ``granularity``, as floats.
 
         The lattice is the integer multiples of the granularity inside
@@ -147,24 +150,35 @@ class GateFamily:
         points = np.indices((n + 1,) * d).reshape(d, -1).T / n
         return points[self.contains(points)]
 
-    def check_spacing(self, granularity: Fraction) -> Fraction:
+    def check_spacing(self, granularity: Spacing) -> Fraction:
         """The spacing 1/n as a Fraction; refused if its lattice misses a corner of the domain."""
         n = divisions(granularity)
         for corner in self.corners:
             if any((Fraction(c) * n).denominator != 1 for c in corner):
                 raise ValueError(
-                    f"granularity {Fraction(granularity)} misses the corner "
+                    f"granularity {Fraction(1, n)} misses the corner "
                     f"({', '.join(map(str, corner))}) of family {self.name!r}: "
                     "the reference lattice must hold every corner of the domain"
                 )
         return Fraction(1, n)
 
 
-def divisions(granularity: Fraction) -> int:
-    """The n of a spacing 1/n; a bool, or a spacing that does not divide 1, is refused."""
-    if isinstance(granularity, bool):
-        raise ValueError(f"granularity must be a number, got {granularity!r}")
-    g = Fraction(granularity)
+# Every form of a spacing that divisions reads.
+Spacing = Fraction | str | float
+
+
+def divisions(granularity: Spacing) -> int:
+    """The n of a spacing 1/n; a spacing that does not divide 1 is refused.
+
+    A Fraction and a string such as "1/4" are read exactly, and a number
+    through ``check_number`` (a bool, NaN or inf is refused). Anything
+    else, "1/0" too, is not a number: every refusal is a ValueError.
+    """
+    try:
+        g = Fraction(granularity if isinstance(granularity, (Fraction, str))
+                     else check_number(granularity))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"granularity must be a number, got {granularity!r}") from None
     if g <= 0 or (1 / g).denominator != 1:
         raise ValueError(f"granularity must evenly divide 1, got {g}")
     return int(1 / g)

@@ -6,6 +6,9 @@ fields of ``ControlAnsatz`` and ``RoundRecord``, in field order, and
 read back by one reader that picks each field's parser by its type. A
 loader error names the section or record and the field
 (``log 2: mean_penalty: ...``, ``simplices 4: ...``, ``seed: missing``).
+The iteration counts, the paper's cost metric, must agree: each log
+record's ``cumulative_iterations`` is the running sum of ``iterations``,
+and the references' ``iterations`` add up to the last.
 The loader only parses: numbers go through ``check_number`` (λ through
 ``check_lambda``), counts ``check_count``, points ``check_domain``, pulses
 ``check_pulses`` and rows ``from_simplices``. ``save_landscape`` leaves no
@@ -149,12 +152,21 @@ def landscape_from_dict(data: dict) -> Landscape:
         log = [_record(RoundRecord, rec, f"log {k}")
                for k, rec in enumerate(_field(data, "", "log", _list))]
         # Every file that pulsecal writes holds its round-0 record, and a
-        # new round numbers itself by its place in the log.
+        # new round numbers itself by its place in the log. The iteration
+        # counts are the paper's cost metric: each cumulative count is the
+        # running sum of the rounds', and every round solves each reference
+        # once, so the references' counts add up to the log's total.
         if not log:
             raise FormatError("log: empty, expected the round-0 record")
+        total = 0
         for k, rec in enumerate(log):
-            if rec.round != k:
-                raise FormatError(f"log {k}: round: expected {k}, got {rec.round}")
+            total += rec.iterations
+            for name, expected in (("round", k), ("cumulative_iterations", total)):
+                if getattr(rec, name) != expected:
+                    raise FormatError(f"log {k}: {name}: expected {expected}, "
+                                      f"got {getattr(rec, name)}")
+        if (spent := sum(ref.cumulative_iterations for ref in references)) != total:
+            raise FormatError(f"references: iterations: expected a sum of {total}, got {spent}")
         lam = check_lambda(_field(data, "", "lambda"))
         seed = _field(data, "", "seed", check_count)
     except (KeyError, TypeError, ValueError, OverflowError, DomainError) as exc:

@@ -239,22 +239,22 @@ def test_property_seeded_determinism(check, tmp_path):
 
 @pytest.fixture(scope="module")
 def chamber_pipeline():
-    """Granularity-1/4 chamber calibration, scored before and after 10 rounds."""
+    """Granularity-1/4 chamber calibration, scored before and after 10 rounds.
+
+    The rounds come from ``calibration_rounds``, the schedule that
+    ``calibrate --rounds 10`` runs; its first yield and its last are scored.
+    """
     cfg = pc.CalibConfig(
         family="weyl-chamber",
         granularity=Fraction(1, 4),
-        rounds=0,
+        rounds=10,
         lam=1e-2,
         seed=42,
         n_segments=20,
     )
-    landscape = pc.initial_round(cfg)
-    _, before = pc.evaluate_grid(landscape, Fraction(1, 24))
-    mid_before = _gate_error_at(landscape, MIDPOINT)
-    for _ in range(10):
-        pc.reoptimization_round(landscape, cfg.opt)
-    _, after = pc.evaluate_grid(landscape, Fraction(1, 24))
-    mid_after = _gate_error_at(landscape, MIDPOINT)
+    scores = [(pc.evaluate_grid(landscape, Fraction(1, 24))[1], _gate_error_at(landscape, MIDPOINT))
+              for k, landscape in enumerate(pc.calibration_rounds(cfg)) if k in (0, cfg.rounds)]
+    (before, mid_before), (after, mid_after) = scores
     return {
         "before": before,
         "after": after,

@@ -357,6 +357,19 @@ def test_rounds_zero_is_exactly_the_initial_round():
     assert landscape_to_dict(a) == landscape_to_dict(b)
 
 
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_calibration_rounds_yield_the_one_landscape_after_each_round(rounds):
+    cfg = pc.CalibConfig(family="single-qubit", granularity=Fraction(1, 1), rounds=rounds, seed=5)
+    yields = []
+    for k, landscape in enumerate(pc.calibration_rounds(cfg)):
+        # The log as the round left it: one record per round run so far.
+        assert [rec.round for rec in landscape.log] == list(range(k + 1))
+        yields.append(landscape)
+    assert len(yields) == cfg.rounds + 1
+    assert all(landscape is yields[0] for landscape in yields)
+    assert landscape_to_dict(yields[-1]) == landscape_to_dict(pc.calibrate(cfg))
+
+
 def test_calibration_is_deterministic(corner_run):
     cfg, land = corner_run
     again = pc.calibrate(cfg)
@@ -534,7 +547,6 @@ def test_fractional_rounds_are_refused_before_round_0(monkeypatch, run):
         raise AssertionError("round 0 ran")
 
     monkeypatch.setattr(calibrate_mod, "initial_round", never)
-    monkeypatch.setattr(importlib.import_module("pulsecal.evaluate"), "initial_round", never)
     with pytest.raises(ValueError, match=r"^rounds: expected an integer, got 1\.5$"):
         run(_calib(rounds=1.5))
 

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -10,8 +11,12 @@ import numpy as np
 import pytest
 
 import pulsecal as pc
-from pulsecal import cli, evaluate
+from pulsecal import cli
 from pulsecal.cli import _probe_writable, main
+
+# The package re-exports calibrate() under the submodule's name, so reach
+# the module itself through importlib for monkeypatching.
+calibrate_mod = importlib.import_module("pulsecal.calibrate")
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,27 @@ def test_calibrate_writes_landscape_and_prints_log(tmp_path, capsys):
     land = pc.load_landscape(out)
     assert len(land.references) == 8
     assert [rec.round for rec in land.log] == [0, 1]
+
+
+def test_calibrate_prints_each_round_before_the_next_starts(tmp_path, capsys, monkeypatch):
+    printed = []
+    original = calibrate_mod.reoptimization_round
+
+    def reoptimization_round(landscape, opt):
+        printed.append(capsys.readouterr().out)
+        return original(landscape, opt)
+
+    monkeypatch.setattr(calibrate_mod, "reoptimization_round", reoptimization_round)
+    code = main(["calibrate", "--family", "single-qubit", "--granularity", "1",
+                 "--rounds", "2", "--seed", "3", "--out", str(tmp_path / "land.json")])
+    assert code == 0
+    printed.append(capsys.readouterr().out)
+    # Before round k + 1 runs, the log lines up to round k's are out.
+    rounds = [[line.split()[0] for line in chunk.splitlines() if line.split()[0].isdigit()]
+              for chunk in printed]
+    assert rounds == [["0"], ["1"], ["2"]]
+    assert printed[0].startswith("round  iterations")
+    assert printed[-1].endswith(f"saved 8 references to {tmp_path / 'land.json'}\n")
 
 
 def test_calibrate_reruns_are_byte_identical(landscape_file, tmp_path):
@@ -92,7 +118,7 @@ def test_non_finite_lambda_is_a_bad_argument(tmp_path, command, lam):
 @pytest.mark.parametrize("granularity", ["1/3", "1/5"])
 def test_chamber_spacing_that_misses_a_corner_is_a_bad_argument(tmp_path, capsys, monkeypatch,
                                                                 granularity):
-    monkeypatch.setattr(cli, "calibrate", _never_called)
+    monkeypatch.setattr(cli, "calibration_rounds", _never_called)
     out = tmp_path / "land.json"
     code = main(["calibrate", "--family", "weyl-chamber", "--granularity", granularity,
                  "--out", str(out)])
@@ -117,7 +143,7 @@ def test_chamber_sweep_refuses_a_bad_spacing_before_it_calibrates(tmp_path, caps
 def test_sweep_refuses_a_test_spacing_that_does_not_divide_one_before_it_calibrates(
     tmp_path, capsys, monkeypatch, test_granularity
 ):
-    monkeypatch.setattr(evaluate, "initial_round", _never_called)
+    monkeypatch.setattr(calibrate_mod, "initial_round", _never_called)
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--family", "single-qubit", "--granularities", "1/4", "--max-rounds", "1",
                  "--test-granularity", test_granularity, "--csv", str(out)])

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -109,6 +110,26 @@ def test_spacing_rule_refuses_a_bool(granularity):
 def test_spacing_rule_counts_divisions_of_any_exact_spelling(granularity):
     assert divisions(granularity) == 4
     assert SINGLE_QUBIT.check_spacing(granularity) == Fraction(1, 4)
+
+
+@pytest.mark.parametrize("granularity, n", [
+    (np.float32(0.5), 2), (np.int64(1), 1), ("1/4", 4), (0.25, 4), (Fraction(1, 4), 4),
+], ids=repr)
+def test_spacing_is_read_from_a_fraction_a_string_or_a_number(granularity, n):
+    assert divisions(granularity) == n
+    stored = pc.CalibConfig("single-qubit", granularity).granularity
+    assert stored == Fraction(1, n) and type(stored) is Fraction
+
+
+@pytest.mark.parametrize("read", [divisions, lambda g: pc.CalibConfig("single-qubit", g)],
+                         ids=["divisions", "CalibConfig"])
+@pytest.mark.parametrize("granularity", [
+    None, [1], float("nan"), float("inf"), float("-inf"), "1/0", "abc", True, np.float32("nan"),
+], ids=repr)
+def test_spacing_that_is_not_a_number_is_refused_by_name(read, granularity):
+    message = rf"^granularity must be a number, got {re.escape(repr(granularity))}$"
+    with pytest.raises(ValueError, match=message):
+        read(granularity)
 
 
 @pytest.mark.parametrize("name", sorted(pc.FAMILIES))

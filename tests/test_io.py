@@ -233,6 +233,10 @@ _TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "
          r"^reference 3: iterations: expected a non-negative integer, got -5$"),
         (_set(("log", 1, "cumulative_iterations"), -1),
          r"^log 1: cumulative_iterations: expected a non-negative integer, got -1$"),
+        (_set(("log", 1, "cumulative_iterations"), 5),
+         r"^log 1: cumulative_iterations: expected 2035, got 5$"),
+        (_set(("references", 0, "iterations"), 10**6),
+         r"^references: iterations: expected a sum of 2035, got 1001988$"),
         (_set(("simplices", 4, 1), 3.0), r"^simplices 4: expected an integer, got 3\.0$"),
         (_set(("simplices", 4), "0 1 2 3"), r"^simplices 4: expected an array, got str$"),
         (_set(("simplices", 4, 0), -1), r"^simplices 4: expected a non-negative integer, got -1$"),
@@ -262,8 +266,9 @@ _TOP_LEVEL = ("family", "ansatz", "lambda", "seed", "references", "simplices", "
     ],
     ids=["ansatz-fraction", "ansatz-zero", "ansatz-missing", "log-string", "log-list", "log-round",
          "reference-null", "reference-hex", "reference-amplitude", "reference-domain",
-         "reference-iterations", "log-cumulative", "simplices-fraction", "simplices-string",
-         "simplices-negative", "lambda-string", "lambda-negative", "lambda-infinite", "lambda-nan",
+         "reference-iterations", "log-cumulative", "log-running-sum", "references-iterations-sum",
+         "simplices-fraction", "simplices-string", "simplices-negative", "lambda-string",
+         "lambda-negative", "lambda-infinite", "lambda-nan",
          "seed-string", "seed-negative", "simplices-range", "simplices-huge", "simplices-short",
          "simplices-long", "simplices-repeated", "simplices-permuted", "references-string",
          *(f"no-{key}" for key in _TOP_LEVEL)],
